@@ -632,157 +632,6 @@ let sweep () =
   static_bench ()
 
 (* ------------------------------------------------------------------ *)
-(* fuzz-bench: blind vs coverage-guided confirmation over C1-C9.        *)
-(* Both modes enumerate the same candidates; blind spends the fixed     *)
-(* Evaluate budget (6 directed runs) per candidate, guided shares one   *)
-(* coverage corpus per class and stops at the novelty plateau.  The     *)
-(* acceptance bar: identical confirmed-race sets, guided schedules      *)
-(* <= 50% of blind.  Results land in BENCH_fuzz.json as stable counter  *)
-(* lines (both modes are jobs-deterministic).                           *)
-(* ------------------------------------------------------------------ *)
-
-let bench_fuzz_file = "BENCH_fuzz.json"
-
-let fuzz_bench ~jobs =
-  Corpus.Registry.warm_all ();
-  let blind_mode = Eval.Guided.Blind { runs = 6 } in
-  let guided_mode = Eval.Guided.Guided { budget = 6; batch = 2; plateau = 1 } in
-  let entries =
-    match Sys.getenv_opt "NARADA_FUZZ_BENCH_ONLY" with
-    | None -> Corpus.Registry.all
-    | Some ids ->
-      let ids = String.split_on_char ',' ids in
-      List.filter
-        (fun (e : Corpus.Corpus_def.entry) ->
-          List.mem e.Corpus.Corpus_def.e_id ids)
-        Corpus.Registry.all
-  in
-  let rows =
-    List.filter_map
-      (fun (e : Corpus.Corpus_def.entry) ->
-        let blind = Eval.Guided.confirm_class ~jobs ~mode:blind_mode e in
-        let corpus = Cov.Corpus.create () in
-        let guided =
-          Eval.Guided.confirm_class ~jobs ~corpus ~mode:guided_mode e
-        in
-        match (blind, guided) with
-        | Ok b, Ok g ->
-          if Sys.getenv_opt "NARADA_FUZZ_BENCH_DEBUG" <> None then begin
-            let missing =
-              List.filter
-                (fun k ->
-                  not
-                    (List.exists
-                       (fun k' -> Detect.Race.compare_key k k' = 0)
-                       g.Eval.Guided.gc_confirmed))
-                b.Eval.Guided.gc_confirmed
-            in
-            List.iter
-              (fun k ->
-                Printf.eprintf "debug %s: guided missing %s\n"
-                  e.Corpus.Corpus_def.e_id (Detect.Race.key_to_string k))
-              missing
-          end;
-          Some (e, b, g)
-        | (Error msg, _ | _, Error msg) ->
-          Printf.eprintf "fuzz-bench: %s failed: %s\n" e.Corpus.Corpus_def.e_id
-            msg;
-          None)
-      entries
-  in
-  let same_set b g =
-    List.length b.Eval.Guided.gc_confirmed
-    = List.length g.Eval.Guided.gc_confirmed
-    && List.for_all2
-         (fun k k' -> Detect.Race.compare_key k k' = 0)
-         b.Eval.Guided.gc_confirmed g.Eval.Guided.gc_confirmed
-  in
-  print_endline
-    "fuzz-bench: blind (6 runs/candidate) vs coverage-guided confirmation";
-  Printf.printf "%-4s %6s %10s %10s %10s %10s %6s %5s\n" "Cls" "Cands"
-    "ConfBlind" "ConfGuided" "SchedBlind" "SchedGuided" "Ratio" "Set";
-  print_endline (String.make 68 '-');
-  let tb = ref 0 and tg = ref 0 and all_equal = ref true in
-  List.iter
-    (fun ((e : Corpus.Corpus_def.entry), b, g) ->
-      let eq = same_set b g in
-      if not eq then all_equal := false;
-      tb := !tb + b.Eval.Guided.gc_schedules;
-      tg := !tg + g.Eval.Guided.gc_schedules;
-      Printf.printf "%-4s %6d %10d %10d %10d %10d %5.0f%% %5s\n"
-        e.Corpus.Corpus_def.e_id b.Eval.Guided.gc_candidates
-        (List.length b.Eval.Guided.gc_confirmed)
-        (List.length g.Eval.Guided.gc_confirmed)
-        b.Eval.Guided.gc_schedules g.Eval.Guided.gc_schedules
-        (if b.Eval.Guided.gc_schedules = 0 then 0.0
-         else
-           100.0
-           *. float_of_int g.Eval.Guided.gc_schedules
-           /. float_of_int b.Eval.Guided.gc_schedules)
-        (if eq then "=" else "DIFF"))
-    rows;
-  let ratio =
-    if !tb = 0 then 0.0 else float_of_int !tg /. float_of_int !tb
-  in
-  Printf.printf "total schedules: blind %d, guided %d (%.0f%%); confirmed \
-                 sets %s\n\n"
-    !tb !tg (100.0 *. ratio)
-    (if !all_equal then "identical" else "DIFFER");
-  let oc = open_out bench_fuzz_file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let line l =
-        output_string oc l;
-        output_char oc '\n'
-      in
-      line
-        (Obs.Export.meta_line
-           ~fields:
-             [
-               ( "benchmark",
-                 Obs.Export.json_str
-                   "blind vs coverage-guided race confirmation, whole corpus"
-               );
-             ]
-           ());
-      List.iter
-        (fun ((e : Corpus.Corpus_def.entry), b, g) ->
-          let id = e.Corpus.Corpus_def.e_id in
-          let c name v =
-            line
-              (Obs.Export.counter_line
-                 ~name:(Printf.sprintf "fuzz/confirm/%s/%s" id name)
-                 ~value:v)
-          in
-          c "candidates" b.Eval.Guided.gc_candidates;
-          c "confirmed_blind" (List.length b.Eval.Guided.gc_confirmed);
-          c "confirmed_guided" (List.length g.Eval.Guided.gc_confirmed);
-          c "schedules_blind" b.Eval.Guided.gc_schedules;
-          c "schedules_guided" g.Eval.Guided.gc_schedules)
-        rows;
-      line
-        (Obs.Export.counter_line ~name:"fuzz/confirm/total/schedules_blind"
-           ~value:!tb);
-      line
-        (Obs.Export.counter_line ~name:"fuzz/confirm/total/schedules_guided"
-           ~value:!tg));
-  Printf.printf "wrote %s (guided/blind schedule ratio %.2f)\n" bench_fuzz_file
-    ratio;
-  if not !all_equal then begin
-    prerr_endline
-      "fuzz-bench: FAIL -- guided confirmed-race set differs from blind";
-    exit 1
-  end;
-  if ratio > 0.5 then begin
-    Printf.eprintf
-      "fuzz-bench: FAIL -- guided used %.0f%% of blind schedules (bar: 50%%)\n"
-      (100.0 *. ratio);
-    exit 1
-  end;
-  print_endline "fuzz-bench: OK"
-
-(* ------------------------------------------------------------------ *)
 (* backend-bench: interpreter vs compiled closure backend on the        *)
 (* replay-heavy detection stages.  Candidate enumeration (observer-     *)
 (* attached, so the compiled fast path is inert there) is shared and    *)
@@ -1041,7 +890,6 @@ let () =
   if has "par-smoke" then par_smoke ()
   else if has "static-bench" then static_bench ~smoke:(has "--smoke") ()
   else if has "backend-bench" then backend_bench ()
-  else if has "fuzz-bench" then fuzz_bench ~jobs:(parse_jobs Sys.argv)
   else if has "sweep" then sweep ()
   else begin
     let quick = has "quick" in

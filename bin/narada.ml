@@ -786,218 +786,6 @@ let cov_cmd =
           byte-identical for every --jobs value.")
     Term.(const run $ corpus_arg $ jobs_arg $ seed_arg $ metrics_out_arg)
 
-(* ---- serve ---- *)
-
-(* A persistent work-queue daemon over stdin/stdout.  Requests are
-   line-oriented; a blank line (or EOF) closes a batch.  Within a batch,
-   read-only requests (analyze / cov / confirm) are deduplicated and
-   fanned out over the Par pool; stateful requests (fuzz / stats /
-   checkpoint / quit) run in order at their position against the
-   on-disk-checkpointed corpus.  Responses come back one line per
-   request line, in request order — so a session transcript is
-   deterministic and cram-testable. *)
-let serve_cmd =
-  let run state jobs seed =
-    let jobs = max 1 jobs in
-    let reg = Obs.Metrics.global () in
-    (* Two daemons may be pointed at the same (not yet existing) state
-       dir: losing the mkdir race, or finding a half-written checkpoint
-       from a concurrently initializing peer, is recoverable — start
-       from the recoverable pieces and count the incident. *)
-    if not (Sys.file_exists state) then (
-      try Sys.mkdir state 0o755 with
-      | Sys_error _ when Sys.file_exists state && Sys.is_directory state ->
-        (* lost the mkdir race to a concurrently starting daemon *)
-        Obs.Metrics.incr reg "serve/recovered"
-      | Sys_error msg ->
-        prerr_endline ("narada: cannot create state dir: " ^ msg);
-        exit 1)
-    else if not (Sys.is_directory state) then begin
-      prerr_endline
-        ("narada: state path exists and is not a directory: " ^ state);
-      exit 1
-    end;
-    let ckpt = Filename.concat state "corpus.nar" in
-    let corpus =
-      if Sys.file_exists ckpt then
-        match Cov.Corpus.load ckpt with
-        | Ok c -> c
-        | Error msg ->
-          Printf.eprintf "narada: ignoring bad checkpoint %s: %s\n%!" ckpt msg;
-          Obs.Metrics.incr reg "serve/recovered";
-          Cov.Corpus.create ()
-      else Cov.Corpus.create ()
-    in
-    (* Static summaries persist next to the corpus checkpoint: warm
-       analyze requests — across batches and across daemon restarts —
-       pay only the static linking phase. *)
-    let static_cache = Static.Cache.open_dir (Filename.concat state "staticcache") in
-    Printf.printf "ready state=%s entries=%d features=%d\n%!" state
-      (Cov.Corpus.size corpus)
-      (Cov.Set.total (Cov.Corpus.coverage corpus));
-    let checkpoint () =
-      Cov.Corpus.save corpus ckpt;
-      Printf.sprintf "checkpoint ok %s entries=%d digest=%s" ckpt
-        (Cov.Corpus.size corpus) (Cov.Corpus.digest corpus)
-    in
-    let handle_pure line =
-      let fail fmt = Printf.sprintf fmt in
-      match String.split_on_char ' ' line with
-      | [ "analyze"; id ] -> (
-        match Corpus.Registry.find id with
-        | None -> fail "error unknown corpus id %s" id
-        | Some e -> (
-          match
-            Narada_core.Pipeline.analyze
-              (Corpus.Registry.compiled_unit e)
-              ~static_filter:true ~static_cache
-              ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
-              ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
-              ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
-          with
-          | Error msg -> fail "error analyze %s: %s" id msg
-          | Ok an ->
-            Printf.sprintf "analyze %s ok pairs=%d pruned=%d tests=%d" id
-              (List.length an.Narada_core.Pipeline.an_pairs)
-              an.Narada_core.Pipeline.an_pairs_pruned
-              (List.length an.Narada_core.Pipeline.an_tests)))
-      | [ "cov"; id ] -> (
-        match Corpus.Registry.find id with
-        | None -> fail "error unknown corpus id %s" id
-        | Some e -> (
-          match Eval.Coverage.class_coverage ~seed e with
-          | Error msg -> fail "error cov %s: %s" id msg
-          | Ok cc ->
-            let c k = Cov.Set.count k cc.Eval.Coverage.cc_cov in
-            Printf.sprintf
-              "cov %s ok racy_pair=%d hb_edge=%d lock_order=%d postponed=%d \
-               total=%d"
-              id (c Cov.Racy_pair) (c Cov.Hb_edge) (c Cov.Lock_order)
-              (c Cov.Postponed)
-              (Cov.Set.total cc.Eval.Coverage.cc_cov)))
-      | [ "confirm"; id ] -> (
-        match Corpus.Registry.find id with
-        | None -> fail "error unknown corpus id %s" id
-        | Some e -> (
-          match
-            Eval.Guided.confirm_class ~seed
-              ~mode:(Eval.Guided.Guided { budget = 6; batch = 2; plateau = 1 })
-              e
-          with
-          | Error msg -> fail "error confirm %s: %s" id msg
-          | Ok gc ->
-            Printf.sprintf "confirm %s ok candidates=%d confirmed=%d schedules=%d"
-              id gc.Eval.Guided.gc_candidates
-              (List.length gc.Eval.Guided.gc_confirmed)
-              gc.Eval.Guided.gc_schedules))
-      | _ -> fail "error unparseable request %S" line
-    in
-    let is_pure line =
-      match String.split_on_char ' ' line with
-      | ("analyze" | "cov" | "confirm") :: _ -> true
-      | _ -> false
-    in
-    let quit = ref false in
-    let handle_stateful line =
-      match String.split_on_char ' ' line with
-      | "fuzz" :: count :: rest -> (
-        let fseed =
-          match rest with
-          | [ s ] -> Int64.of_string_opt s
-          | [] -> Some seed
-          | _ -> None
-        in
-        match (int_of_string_opt count, fseed) with
-        | Some n, Some fseed when n > 0 ->
-          let report =
-            Fuzz.Crucible.run_guided ~corpus
-              {
-                Fuzz.Crucible.o_count = n;
-                o_seed = fseed;
-                o_jobs = jobs;
-                o_mutate = None;
-              }
-          in
-          Printf.sprintf "fuzz ok checked=%d novelty=%d corpus=%d failures=%d"
-            report.Fuzz.Crucible.gr_checked report.Fuzz.Crucible.gr_novelty
-            (Cov.Corpus.size corpus)
-            (List.length report.Fuzz.Crucible.gr_failures)
-        | _ -> Printf.sprintf "error bad fuzz request %S" line)
-      | [ "stats" ] ->
-        let reg = Obs.Metrics.global () in
-        let c name = Obs.Metrics.counter_value reg name in
-        Printf.sprintf
-          "stats entries=%d features=%d digest=%s recovered=%d\n\
-           static/cache hits=%d misses=%d evictions=%d summarized=%d"
-          (Cov.Corpus.size corpus)
-          (Cov.Set.total (Cov.Corpus.coverage corpus))
-          (Cov.Corpus.digest corpus)
-          (c "serve/recovered")
-          (c "static/cache/hits") (c "static/cache/misses")
-          (c "static/cache/evictions")
-          (c "static/summarized")
-      | [ "checkpoint" ] -> checkpoint ()
-      | [ "quit" ] ->
-        quit := true;
-        ignore (checkpoint ());
-        "bye"
-      | _ -> Printf.sprintf "error unparseable request %S" line
-    in
-    (* Read one batch: lines until a blank line or EOF. *)
-    let read_batch () =
-      let rec go acc =
-        match input_line stdin with
-        | exception End_of_file ->
-          if acc = [] then None else Some (List.rev acc)
-        | "" -> if acc = [] then go [] else Some (List.rev acc)
-        | line -> go (String.trim line :: acc)
-      in
-      go []
-    in
-    let rec serve () =
-      match read_batch () with
-      | None -> ignore (checkpoint ())
-      | Some batch ->
-        let pure =
-          List.sort_uniq String.compare (List.filter is_pure batch)
-        in
-        let answers = Par.map ~jobs pure handle_pure in
-        let table = List.combine pure answers in
-        List.iter
-          (fun line ->
-            let resp =
-              if is_pure line then
-                match List.assoc_opt line table with
-                | Some r -> r
-                | None ->
-                  (* unreachable: [table] indexes every pure line of the
-                     batch — but a daemon must answer, not die *)
-                  Printf.sprintf "error internal: no answer for %S" line
-              else handle_stateful line
-            in
-            print_endline resp)
-          batch;
-        flush stdout;
-        if not !quit then serve ()
-    in
-    serve ()
-  in
-  let state =
-    Arg.(
-      value & opt string ".narada-serve"
-      & info [ "state" ] ~docv:"DIR"
-          ~doc:"State directory holding the corpus checkpoint (corpus.nar).")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Persistent work-queue daemon: accepts line-oriented analyze / cov / \
-          confirm / fuzz / stats / checkpoint requests on stdin (blank line \
-          closes a batch), deduplicates and fans read-only requests out over \
-          the Par pool, answers one line per request in order, and keeps a \
-          coverage corpus checkpointed on disk across sessions.")
-    Term.(const run $ state $ jobs_arg $ seed_arg)
-
 (* ---- profile ---- *)
 
 let profile_cmd =
@@ -1184,7 +972,6 @@ let main_cmd =
       fuzz_cmd;
       cov_cmd;
       repair_cmd;
-      serve_cmd;
       profile_cmd;
     ]
 

@@ -33,8 +33,6 @@ let default_kind () =
 
 type t = Interp_b | Compiled_b of Runtime.Machine.Compiled.code
 
-let kind_of = function Interp_b -> Interp | Compiled_b _ -> Compiled
-
 (* Digest-keyed compiled-code cache: lock-free steady-state reads,
    compile at most once per distinct unit (see Corpus.Registry). *)
 module Code_cache = Corpus.Registry.Keyed_cache (struct

@@ -27,8 +27,6 @@ type t
 
 val prepare : kind -> Jir.Code.unit_ -> t
 
-val kind_of : t -> kind
-
 val compiled_code : Jir.Code.unit_ -> Runtime.Machine.Compiled.code
 (** The digest-keyed compiled code of a unit, compiling on first use.
     Domain-safe: compiles at most once per distinct digest.  Records

@@ -45,7 +45,6 @@ let to_string { root; fields } =
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let append t f = { t with fields = t.fields @ [ f ] }
-let append_path t fs = { t with fields = t.fields @ fs }
 
 let depth t = List.length t.fields
 

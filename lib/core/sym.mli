@@ -20,7 +20,6 @@ val root_to_string : root -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val append : t -> string -> t
-val append_path : t -> string list -> t
 
 val depth : t -> int
 (** Number of field dereferences. *)

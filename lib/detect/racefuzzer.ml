@@ -68,11 +68,7 @@ let conflicting (a : Runtime.Machine.pending_access)
   && Option.equal Int.equal a.Runtime.Machine.pa_idx b.Runtime.Machine.pa_idx
   && (a.Runtime.Machine.pa_kind = `Write || b.Runtime.Machine.pa_kind = `Write)
 
-(* One directed execution.  [on_confirm] decides what to do when the
-   pair is simultaneously enabled: return [`Report] to stop and report,
-   or [`Force order] to execute the racing accesses in the given order
-   and continue to completion (used by triage). *)
-(* Dense per-tid mirrors used by the directed loops below: tids are
+(* Dense per-tid mirrors used by the directed loop below: tids are
    small consecutive ints, so per-step membership tests and the
    pending-access memo live in growable arrays instead of hashtables.
    The [postponed] hashtable itself is kept — its fold order decides
@@ -92,7 +88,15 @@ let tid_slot tm tid =
   end;
   tid
 
-let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
+(* One directed execution.  [on_confirm] decides what to do when the
+   pair is simultaneously enabled: return [`Report] to stop and report,
+   or [`Force order] to execute the racing accesses in the given order
+   and continue to completion (used by triage).  [on_postponed] sees the
+   postponed set as (tid, field) pairs whenever a thread joins it or is
+   released from it while it stays non-empty (coverage uses it for
+   postponed-state features); without it no state list is built. *)
+let directed_run ?on_postponed (m : Runtime.Machine.t) ~(cand : candidate)
+    ~seed ~fuel
     ~(on_confirm :
        [ `Report | `Force_first of unit | `Force_second of unit ]) :
     Race.report option * run_stats =
@@ -102,6 +106,16 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     Hashtbl.create 4
   in
   let in_postponed = tidmap false in
+  let changed = ref false in
+  let observe () =
+    match on_postponed with
+    | Some f when Hashtbl.length postponed > 0 ->
+      f
+        (Hashtbl.fold
+           (fun tid pa acc -> (tid, pa.Runtime.Machine.pa_field) :: acc)
+           postponed [])
+    | Some _ | None -> ()
+  in
   let steps = ref 0 in
   let max_postponed = ref 0 in
   let result = ref None in
@@ -130,7 +144,8 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
   let step_tid tid = step_th (Runtime.Machine.find_thread m tid) in
   let postpone tid pa =
     Hashtbl.replace postponed tid pa;
-    in_postponed.slots.(tid_slot in_postponed tid) <- true
+    in_postponed.slots.(tid_slot in_postponed tid) <- true;
+    changed := true
   in
   let unpostpone tid =
     Hashtbl.remove postponed tid;
@@ -169,6 +184,7 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
     if fuel <= 0 || !result <> None then ()
     else begin
       (* Refresh the postponed set: threads poised at a matching access. *)
+      changed := false;
       List.iter
         (fun th ->
           let tid = Runtime.Machine.thread_id th in
@@ -177,6 +193,7 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
             | Some pa when matches cand pa -> postpone tid pa
             | Some _ | None -> ())
         (Runtime.Machine.all_threads m);
+      if !changed then observe ();
       let np = Hashtbl.length postponed in
       if np > !max_postponed then max_postponed := np;
       (* Check for a simultaneously-enabled conflicting pair; with fewer
@@ -234,6 +251,7 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
           | l ->
             let tid = List.nth l (pick (List.length l)) in
             unpostpone tid;
+            observe ();
             step_tid tid;
             loop (fuel - 1))
         | k ->
@@ -251,177 +269,6 @@ let directed_run (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
   in
   loop fuel;
   (!result, { rs_steps = !steps; rs_max_postponed = !max_postponed })
-
-(* A coverage-collecting directed execution: same postponing scheduler
-   as [directed_run], but
-
-   - every scheduler choice can be *forced* by a schedule prefix (choice
-     indices, taken modulo the number of enabled options), which is how
-     corpus entries are mutated — replay a recorded prefix, then let the
-     seeded RNG take over;
-   - the choices actually taken are recorded (capped) so a novel run can
-     be admitted to the corpus as a replayable (seed, prefix) entry;
-   - a trace recorder is attached for HB-edge / lock-order features and
-     recycled afterwards (the replay loop must not grow the chunk pool),
-     postponed-set states are fingerprinted as they change, and a
-     confirmed pair contributes a racy-pair feature. *)
-
-type run_cov = {
-  rc_report : Race.report option;
-  rc_stats : run_stats;
-  rc_choices : int list; (* scheduler choices taken, first [choice_cap] *)
-  rc_cov : Cov.Set.t;
-}
-
-let choice_cap = 64
-
-let directed_run_cov (m : Runtime.Machine.t) ~(cand : candidate) ~seed ~fuel
-    ?(prefix = []) () : run_cov =
-  let rng = Rng.create seed in
-  let forced = ref prefix in
-  let taken = ref [] in
-  let n_taken = ref 0 in
-  let pick n =
-    let i =
-      match !forced with
-      | f :: rest ->
-        forced := rest;
-        ((f mod n) + n) mod n
-      | [] -> Rng.below rng n
-    in
-    if !n_taken < choice_cap then begin
-      taken := i :: !taken;
-      incr n_taken
-    end;
-    i
-  in
-  let rec_ = Runtime.Trace.attach m in
-  let postponed : (Runtime.Value.tid, Runtime.Machine.pending_access) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let cov = ref Cov.Set.empty in
-  let note_postponed () =
-    if Hashtbl.length postponed > 0 then begin
-      let pairs =
-        Hashtbl.fold
-          (fun tid pa acc -> (tid, pa.Runtime.Machine.pa_field) :: acc)
-          postponed []
-      in
-      cov := Cov.Set.add Cov.Postponed (Cov.postponed_state pairs) !cov
-    end
-  in
-  let steps = ref 0 in
-  let max_postponed = ref 0 in
-  let result = ref None in
-  let in_postponed = tidmap false in
-  (* Same per-tid memoization as [directed_run]: see the note there. *)
-  let pa_memo : Runtime.Machine.pending_access option option tidmap =
-    tidmap None
-  in
-  let pending th =
-    let i = tid_slot pa_memo (Runtime.Machine.thread_id th) in
-    match pa_memo.slots.(i) with
-    | Some v -> v
-    | None ->
-      let v = Runtime.Machine.pending_access_th m th in
-      pa_memo.slots.(i) <- Some v;
-      v
-  in
-  let step_th th =
-    ignore (Runtime.Machine.step_th m th);
-    pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
-    incr steps
-  in
-  let step_tid tid = step_th (Runtime.Machine.find_thread m tid) in
-  let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
-  let np_ok th =
-    Runtime.Machine.runnable_th m th
-    && not (is_postponed (Runtime.Machine.thread_id th))
-  in
-  let rec count_np acc = function
-    | [] -> acc
-    | th :: rest -> count_np (if np_ok th then acc + 1 else acc) rest
-  and nth_np i = function
-    | [] -> invalid_arg "directed_run_cov: runnable index out of range"
-    | th :: rest ->
-      if np_ok th then if i = 0 then th else nth_np (i - 1) rest
-      else nth_np i rest
-  in
-  let rec loop fuel =
-    if fuel <= 0 || !result <> None then ()
-    else begin
-      let changed = ref false in
-      List.iter
-        (fun th ->
-          let tid = Runtime.Machine.thread_id th in
-          if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
-            match pending th with
-            | Some pa when matches cand pa ->
-              Hashtbl.replace postponed tid pa;
-              in_postponed.slots.(tid_slot in_postponed tid) <- true;
-              changed := true
-            | Some _ | None -> ())
-        (Runtime.Machine.all_threads m);
-      if !changed then note_postponed ();
-      let np = Hashtbl.length postponed in
-      if np > !max_postponed then max_postponed := np;
-      let pair =
-        if np < 2 then []
-        else begin
-          let poised =
-            Hashtbl.fold (fun tid pa acc -> (tid, pa) :: acc) postponed []
-          in
-          List.concat_map
-            (fun (t1, p1) ->
-              List.filter_map
-                (fun (t2, p2) ->
-                  if t1 < t2 && conflicting p1 p2 then Some ((t1, p1), (t2, p2))
-                  else None)
-                poised)
-            poised
-        end
-      in
-      match pair with
-      | ((t1, p1), (t2, p2)) :: _ ->
-        result :=
-          Some
-            {
-              Race.r_first = access_of_pending m t1 p1 ~label:!steps;
-              r_second = access_of_pending m t2 p2 ~label:!steps;
-              r_detector = "racefuzzer";
-            };
-        cov :=
-          Cov.Set.add Cov.Racy_pair
-            (Cov.racy_pair ~field:cand.c_field p1.Runtime.Machine.pa_site
-               p2.Runtime.Machine.pa_site)
-            !cov
-      | [] -> (
-        match count_np 0 (Runtime.Machine.all_threads m) with
-        | 0 -> (
-          let poised = Hashtbl.fold (fun tid _ acc -> tid :: acc) postponed [] in
-          match List.sort Int.compare poised with
-          | [] -> ()
-          | l ->
-            let tid = List.nth l (pick (List.length l)) in
-            Hashtbl.remove postponed tid;
-            in_postponed.slots.(tid_slot in_postponed tid) <- false;
-            note_postponed ();
-            step_tid tid;
-            loop (fuel - 1))
-        | k ->
-          step_th (nth_np (pick k) (Runtime.Machine.all_threads m));
-          loop (fuel - 1))
-    end
-  in
-  loop fuel;
-  let trace_cov = Cov.of_trace (Runtime.Trace.snapshot rec_) in
-  Runtime.Trace.recycle rec_;
-  {
-    rc_report = !result;
-    rc_stats = { rs_steps = !steps; rs_max_postponed = !max_postponed };
-    rc_choices = List.rev !taken;
-    rc_cov = Cov.Set.union !cov trace_cov;
-  }
 
 (* Try to confirm a candidate over several directed runs with different
    scheduler seeds.  Each run is an independent seeded VM execution, so
@@ -485,120 +332,3 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
   if res.confirmed <> None then
     Obs.Metrics.observe reg "racefuzzer/runs_to_confirm" res.runs_used;
   { res with steps = !prefix_steps }
-
-(* Coverage-guided confirmation.
-
-   Blind [confirm] spends its full run budget on every unconfirmable
-   candidate.  The guided loop instead works in *rounds*: each round
-   derives a batch of run specs purely from (base seed, round number,
-   corpus state at the round boundary) — slot 0 of round 0 is the exact
-   blind first run, later slots mutate the highest-gain corpus entries
-   by replaying a truncated choice prefix under a derived seed.  After
-   executing a batch (optionally over [Par]), results are folded back in
-   slot order: coverage novelty is credited sequentially, the first
-   confirmation (or instantiation failure) in slot order ends the loop,
-   and metrics cover exactly that logical prefix.  A round that yields
-   no new coverage anywhere bumps a plateau counter; [plateau] dry
-   rounds in a row stop the search early.
-
-   Because specs depend only on the corpus at the round start and
-   merging is in slot order, the outcome — confirmation, schedule
-   count, corpus content — is identical for every job count and
-   reproducible from (seed, corpus snapshot). *)
-
-type guided_result = {
-  g_confirmed : Race.report option;
-  g_schedules : int;
-  g_steps : int;
-}
-
-type spec = { sp_seed : int64; sp_prefix : int list }
-
-let confirm_guided ~(instantiate : instantiator) ~(cand : candidate)
-    ?(budget = 10) ?(batch = 2) ?(plateau = 1) ?(fuel = 200_000) ?(seed = 7L)
-    ?(jobs = 1) ~(corpus : Cov.Corpus.t) () : guided_result =
-  let blind_seed i = Int64.add seed (Int64.of_int (i * 7919)) in
-  let spec_for ~ranked idx =
-    if idx = 0 then { sp_seed = blind_seed 0; sp_prefix = [] }
-    else
-      match ranked with
-      | [] -> { sp_seed = blind_seed idx; sp_prefix = [] }
-      | _ :: _ ->
-        (* Rotate over the top 3 entries; keep a deterministic,
-           idx-dependent truncation of the parent's recorded choices. *)
-        let pool = List.filteri (fun i _ -> i < 3) ranked in
-        let parent = List.nth pool ((idx - 1) mod List.length pool) in
-        let plen = List.length parent.Cov.Corpus.en_prefix in
-        let keep = if plen = 0 then 0 else idx * 7 mod (plen + 1) in
-        {
-          sp_seed = Par.seed ~base:parent.Cov.Corpus.en_seed ~index:idx;
-          sp_prefix =
-            List.filteri (fun i _ -> i < keep) parent.Cov.Corpus.en_prefix;
-        }
-  in
-  let run_spec sp =
-    match instantiate () with
-    | Error _ -> Error ()
-    | Ok inst ->
-      Ok
-        (directed_run_cov inst.ri_machine ~cand ~seed:sp.sp_seed ~fuel
-           ~prefix:sp.sp_prefix ())
-  in
-  let reg = Obs.Metrics.global () in
-  let confirmed = ref None in
-  let schedules = ref 0 in
-  let steps = ref 0 in
-  let dry = ref 0 in
-  let stop = ref false in
-  let round = ref 0 in
-  while not !stop do
-    let n = min batch (budget - !schedules) in
-    if n <= 0 then stop := true
-    else begin
-      let ranked = Cov.Corpus.ranked corpus in
-      let base = !round * batch in
-      let specs = List.init n (fun j -> spec_for ~ranked (base + j)) in
-      let results =
-        if jobs <= 1 then List.map run_spec specs
-        else Par.mapi ~jobs specs (fun _ sp -> run_spec sp)
-      in
-      let round_gain = ref 0 in
-      (try
-         List.iter2
-           (fun sp res ->
-             match res with
-             | Error () ->
-               stop := true;
-               raise Exit
-             | Ok rc ->
-               incr schedules;
-               steps := !steps + rc.rc_stats.rs_steps;
-               Obs.Metrics.observe reg "racefuzzer/guided/steps"
-                 rc.rc_stats.rs_steps;
-               let gain =
-                 Cov.Corpus.note corpus ~seed:sp.sp_seed ~prefix:rc.rc_choices
-                   rc.rc_cov
-               in
-               if gain > 0 then
-                 Obs.Metrics.incr ~n:gain reg "racefuzzer/guided/novelty";
-               round_gain := !round_gain + gain;
-               (match rc.rc_report with
-               | Some r ->
-                 confirmed := Some r;
-                 stop := true;
-                 raise Exit
-               | None -> ()))
-           specs results
-       with Exit -> ());
-      if not !stop then
-        if !round_gain = 0 then begin
-          incr dry;
-          if !dry >= plateau then stop := true
-        end
-        else dry := 0;
-      incr round
-    end
-  done;
-  if !confirmed <> None then
-    Obs.Metrics.observe reg "racefuzzer/guided/runs_to_confirm" !schedules;
-  { g_confirmed = !confirmed; g_schedules = !schedules; g_steps = !steps }

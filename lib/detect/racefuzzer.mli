@@ -52,6 +52,7 @@ val confirm :
     sequential early-exit scan for every job count. *)
 
 val directed_run :
+  ?on_postponed:((Runtime.Value.tid * Jir.Ast.id) list -> unit) ->
   Runtime.Machine.t ->
   cand:candidate ->
   seed:int64 ->
@@ -61,58 +62,8 @@ val directed_run :
 (** One directed execution.  [`Report] stops at the confirmation;
     [`Force_first]/[`Force_second] execute the racing accesses back to
     back in the given order and run the program to completion (used by
-    {!Triage}). *)
-
-(** {2 Coverage-guided confirmation} *)
-
-type run_cov = {
-  rc_report : Race.report option;
-  rc_stats : run_stats;
-  rc_choices : int list;
-      (** scheduler choices actually taken (first 64), replayable as a
-          schedule prefix *)
-  rc_cov : Cov.Set.t;  (** interleaving coverage of this execution *)
-}
-
-val directed_run_cov :
-  Runtime.Machine.t ->
-  cand:candidate ->
-  seed:int64 ->
-  fuel:int ->
-  ?prefix:int list ->
-  unit ->
-  run_cov
-(** Like {!directed_run} with [`Report], but scheduler choices can be
-    forced by [prefix] (indices mod the enabled count; the seeded RNG
-    takes over past its end), the taken choices are recorded, and
-    interleaving coverage (postponed-set states, racy pairs, HB edges,
-    lock orders from an attached-and-recycled trace recorder) is
-    returned. *)
-
-type guided_result = {
-  g_confirmed : Race.report option;
-  g_schedules : int;  (** directed runs actually executed *)
-  g_steps : int;
-}
-
-val confirm_guided :
-  instantiate:instantiator ->
-  cand:candidate ->
-  ?budget:int ->
-  ?batch:int ->
-  ?plateau:int ->
-  ?fuel:int ->
-  ?seed:int64 ->
-  ?jobs:int ->
-  corpus:Cov.Corpus.t ->
-  unit ->
-  guided_result
-(** Novelty-guided replacement for blind {!confirm}: rounds of [batch]
-    run specs derived deterministically from (seed, round, corpus);
-    slot 0 of round 0 reproduces blind run 0, later slots mutate the
-    top-ranked corpus entries.  Stops at the first confirmation, after
-    [plateau] consecutive rounds with zero coverage novelty, or at
-    [budget] (default 10) total runs.  Novel runs are admitted into
-    [corpus] — shared across candidates of a class, it is what lets
-    later candidates stop early.  Deterministic for every [jobs] value
-    and reproducible from (seed, corpus snapshot). *)
+    {!Triage}).  [on_postponed] is called with the postponed set, as
+    (tid, field) pairs in no particular order, each time a thread joins
+    the set or is released from it and the set is non-empty; it only
+    observes, so the report and stats are those of the same run without
+    it. *)

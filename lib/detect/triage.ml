@@ -53,29 +53,11 @@ let returns_of (inst : Racefuzzer.instance) =
         "stuck")
     inst.Racefuzzer.ri_threads
 
-(* Serialized execution: run the racy threads one after the other in the
-   given priority order (other threads, if any, after them). *)
-let run_serialized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
-  let m = inst.Racefuzzer.ri_machine in
-  (* Priority scheduling draws no randomness, so the replay loop can run
-     on thread records with no per-step allocation: first runnable
-     thread in [order], else first runnable in creation order — exactly
-     the pick the tid-list version made.  [order] holds the racy
-     threads, which exist before the run, so records resolve once. *)
-  let order_ths =
-    List.filter_map
-      (fun tid ->
-        List.find_opt
-          (fun th -> Runtime.Machine.thread_id th = tid)
-          (Runtime.Machine.all_threads m))
-      order
-  in
-  let rec first_in_order = function
-    | [] -> None
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then Some th
-      else first_in_order rest
-  in
+(* Priority replay: step the first runnable thread of [order], else the
+   first runnable thread in creation order, until quiescent or out of
+   fuel.  Priority scheduling draws no randomness, so the loop runs on
+   thread records with no per-step allocation. *)
+let run_priority m ~order ~fuel =
   let rec first_runnable = function
     | [] -> None
     | th :: rest ->
@@ -84,7 +66,7 @@ let run_serialized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
   let rec loop fuel =
     if fuel > 0 then begin
       let next =
-        match first_in_order order_ths with
+        match first_runnable order with
         | Some th -> Some th
         | None -> first_runnable (Runtime.Machine.all_threads m)
       in
@@ -95,8 +77,31 @@ let run_serialized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
         loop (fuel - 1)
     end
   in
-  loop fuel;
-  { o_snapshot = snapshot_of inst; o_crashes = crashes_of m; o_returns = returns_of inst }
+  loop fuel
+
+let outcome_of (inst : Racefuzzer.instance) =
+  {
+    o_snapshot = snapshot_of inst;
+    o_crashes = crashes_of inst.Racefuzzer.ri_machine;
+    o_returns = returns_of inst;
+  }
+
+(* Serialized execution: run the racy threads one after the other in the
+   given priority order (other threads, if any, after them).  [order]
+   holds the racy threads, which exist before the run, so their records
+   resolve once. *)
+let run_serialized (inst : Racefuzzer.instance) ~order ~fuel : outcome =
+  let m = inst.Racefuzzer.ri_machine in
+  let order =
+    List.filter_map
+      (fun tid ->
+        List.find_opt
+          (fun th -> Runtime.Machine.thread_id th = tid)
+          (Runtime.Machine.all_threads m))
+      order
+  in
+  run_priority m ~order ~fuel;
+  outcome_of inst
 
 let run_forced (inst : Racefuzzer.instance) ~cand ~first ~seed ~fuel : outcome =
   let m = inst.Racefuzzer.ri_machine in
@@ -105,21 +110,8 @@ let run_forced (inst : Racefuzzer.instance) ~cand ~first ~seed ~fuel : outcome =
   (* Drain whatever is left (directed_run drains after forcing, but if
      the pair never became simultaneously enabled some threads may
      remain). *)
-  let rec first_runnable = function
-    | [] -> None
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then Some th else first_runnable rest
-  in
-  let rec drain fuel =
-    if fuel > 0 then
-      match first_runnable (Runtime.Machine.all_threads m) with
-      | None -> ()
-      | Some th ->
-        ignore (Runtime.Machine.step_th m th);
-        drain (fuel - 1)
-  in
-  drain fuel;
-  { o_snapshot = snapshot_of inst; o_crashes = crashes_of m; o_returns = returns_of inst }
+  run_priority m ~order:[] ~fuel;
+  outcome_of inst
 
 let equal_outcome (a : outcome) (b : outcome) =
   a.o_snapshot = b.o_snapshot

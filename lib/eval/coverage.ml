@@ -7,8 +7,10 @@
       detector and a trace recorder attached — candidate pairs that
       were co-scheduled become racy-pair features, the trace yields
       HB-edge and lock-order features;
-   2. a bounded number of coverage-collecting directed runs (one per
-      candidate, capped) for postponed-set state features.
+   2. a bounded number of directed runs (one per candidate, capped),
+      each with its own recycled trace recorder, for postponed-set
+      state features (through [directed_run]'s observer), HB edges,
+      lock orders and the confirmed pair.
 
    The (class, test) units are independent and fan out over [Par];
    per-class coverage is the union of its tests' sets in test order.
@@ -30,6 +32,22 @@ let report_feature (r : Detect.Race.report) =
     ~field:r.Detect.Race.r_first.Detect.Race.a_field
     r.Detect.Race.r_first.Detect.Race.a_site
     r.Detect.Race.r_second.Detect.Race.a_site
+
+let directed_coverage m ~cand ~seed ~fuel =
+  let rec_ = Runtime.Trace.attach m in
+  let states = ref Cov.Set.empty in
+  let on_postponed st =
+    states := Cov.Set.add Cov.Postponed (Cov.postponed_state st) !states
+  in
+  let report, _ =
+    Detect.Racefuzzer.directed_run ~on_postponed m ~cand ~seed ~fuel
+      ~on_confirm:`Report
+  in
+  let cov = Cov.Set.union !states (Cov.of_trace (Runtime.Trace.snapshot rec_)) in
+  Runtime.Trace.recycle rec_;
+  match report with
+  | Some r -> Cov.Set.add Cov.Racy_pair (report_feature r) cov
+  | None -> cov
 
 let test_coverage (an : Narada_core.Pipeline.analysis)
     (t : Narada_core.Synth.test) ~seed ~fuel : Cov.Set.t =
@@ -71,13 +89,10 @@ let test_coverage (an : Narada_core.Pipeline.analysis)
         match instantiate () with
         | Error _ -> acc
         | Ok inst ->
-          let rc =
-            Detect.Racefuzzer.directed_run_cov
-              inst.Detect.Racefuzzer.ri_machine
-              ~cand:(Detect.Racefuzzer.candidate_of_report r)
-              ~seed ~fuel ()
-          in
-          Cov.Set.union acc rc.Detect.Racefuzzer.rc_cov)
+          Cov.Set.union acc
+            (directed_coverage inst.Detect.Racefuzzer.ri_machine
+               ~cand:(Detect.Racefuzzer.candidate_of_report r)
+               ~seed ~fuel))
       cov directed
 
 let class_coverage ?(seed = 7L) ?(fuel = 200_000) ?(jobs = 1)

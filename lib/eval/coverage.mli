@@ -9,12 +9,15 @@ type class_cov = {
   cc_cov : Cov.Set.t;
 }
 
-val class_coverage :
-  ?seed:int64 ->
-  ?fuel:int ->
-  ?jobs:int ->
-  Corpus.Corpus_def.entry ->
-  (class_cov, string) result
+val directed_coverage :
+  Runtime.Machine.t ->
+  cand:Detect.Racefuzzer.candidate ->
+  seed:int64 ->
+  fuel:int ->
+  Cov.Set.t
+(** One [`Report] directed run with a trace recorder attached and
+    recycled afterwards: postponed-set states, HB edges, lock orders,
+    and the racy pair if the run confirms it. *)
 
 val coverage_corpus :
   ?seed:int64 ->

@@ -78,4 +78,3 @@ val find_static : unit_ -> Ast.id -> Ast.id -> meth option
 val find_ctor : unit_ -> Ast.id -> arity:int -> meth option
 
 val pp_instr : Format.formatter -> instr -> unit
-val pp_meth : Format.formatter -> meth -> unit

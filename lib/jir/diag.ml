@@ -24,8 +24,6 @@ let severity_to_string = function
   | Sev_error -> "error"
   | Sev_warning -> "warning"
 
-let pp_severity fmt s = Format.pp_print_string fmt (severity_to_string s)
-
 let compare_severity a b =
   (* errors sort before warnings *)
   let rank = function Sev_error -> 0 | Sev_warning -> 1 in

@@ -20,7 +20,6 @@ val pp : Format.formatter -> error -> unit
 type severity = Sev_error | Sev_warning
 
 val severity_to_string : severity -> string
-val pp_severity : Format.formatter -> severity -> unit
 
 val compare_severity : severity -> severity -> int
 (** Errors sort before warnings. *)

@@ -11,6 +11,5 @@ val pp_class : Format.formatter -> Ast.class_decl -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
 val class_to_string : Ast.class_decl -> string
 val program_to_string : Ast.program -> string

@@ -50,11 +50,10 @@ let max_domains () =
 let set_max_domains n = Atomic.set max_domains_override (max 1 n)
 
 module Pool = struct
-  (* [t_chunk] tags batch-submitted chunk tasks so per-worker executed-
-     chunk counts can be told apart from plain futures in the gauges. *)
-  type task = { t_run : unit -> unit; t_chunk : bool }
+  (* Every task is one chunk of a [mapi] fan-out. *)
+  type task = unit -> unit
 
-  let dummy_task = { t_run = ignore; t_chunk = false }
+  let dummy_task : task = ignore
 
   (* A growable ring deque; all operations run under the owning shard's
      lock, which is uncontended unless a thief is probing this shard. *)
@@ -107,25 +106,15 @@ module Pool = struct
     wake : Condition.t;
     mutable stop : bool;
     pending : int Atomic.t; (* tasks enqueued and not yet taken *)
-    mutable rr : int; (* round-robin submission cursor, under [mu] *)
     mutable workers : unit Domain.t list;
-    (* Futures share one mutex/condvar per pool instead of allocating a
-       pair each: completions broadcast, awaiters re-check their cell. *)
-    fut_mu : Mutex.t;
-    fut_ready : Condition.t;
     (* Scheduling facts (queue high-water mark, steals, per-worker chunk
-       and task counts, idle time).  Inherently job-count dependent, so
-       they are flushed as *volatile* gauges at shutdown. *)
+       counts, idle time).  Inherently job-count dependent, so they are
+       flushed as *volatile* gauges at shutdown. *)
     mutable qdepth_hwm : int;
     steals : int Atomic.t;
-    worker_tasks : int array;
     worker_chunks : int array;
     worker_idle_ns : int64 array;
   }
-
-  type 'a state = Pending | Done of 'a | Failed of exn
-
-  type 'a future = { f_pool : t; mutable f_state : 'a state }
 
   (* Seeded-random victim order: reproducible steal schedules given the
      worker index, independent of wall clock. *)
@@ -178,9 +167,8 @@ module Pool = struct
     match try_take p i rng with
     | Some t ->
       Atomic.decr p.pending;
-      p.worker_tasks.(i) <- p.worker_tasks.(i) + 1;
-      if t.t_chunk then p.worker_chunks.(i) <- p.worker_chunks.(i) + 1;
-      t.t_run ();
+      p.worker_chunks.(i) <- p.worker_chunks.(i) + 1;
+      t ();
       worker p i rng
     | None ->
       Mutex.lock p.mu;
@@ -211,13 +199,9 @@ module Pool = struct
         wake = Condition.create ();
         stop = false;
         pending = Atomic.make 0;
-        rr = 0;
         workers = [];
-        fut_mu = Mutex.create ();
-        fut_ready = Condition.create ();
         qdepth_hwm = 0;
         steals = Atomic.make 0;
-        worker_tasks = Array.make jobs 0;
         worker_chunks = Array.make jobs 0;
         worker_idle_ns = Array.make jobs 0L;
       }
@@ -226,114 +210,48 @@ module Pool = struct
       List.init jobs (fun i -> Domain.spawn (fun () -> worker p i (victim_rng i)));
     p
 
-  let jobs p = p.jobs
-
-  (* Enqueue under [mu] bookkeeping: round-robin shard choice, pending
-     count, queue high-water mark, wakeups.  The shard lock is taken
-       only for the push itself. *)
-  let enqueue p task =
-    Mutex.lock p.mu;
-    if p.stop then begin
-      Mutex.unlock p.mu;
-      invalid_arg "Par.Pool.submit: pool is shut down"
-    end;
-    let shard = p.shards.(p.rr mod p.jobs) in
-    p.rr <- p.rr + 1;
-    Mutex.lock shard.sh_mu;
-    Ring.push_back shard.sh_ring task;
-    Mutex.unlock shard.sh_mu;
-    let d = Atomic.fetch_and_add p.pending 1 + 1 in
-    if d > p.qdepth_hwm then p.qdepth_hwm <- d;
-    Condition.signal p.wake;
-    Mutex.unlock p.mu
-
-  let submit p f =
-    let fut = { f_pool = p; f_state = Pending } in
-    let run () =
-      let r = match f () with v -> Done v | exception e -> Failed e in
-      Mutex.lock p.fut_mu;
-      fut.f_state <- r;
-      Condition.broadcast p.fut_ready;
-      Mutex.unlock p.fut_mu
-    in
-    enqueue p { t_run = run; t_chunk = false };
-    fut
-
   (* Batched submission for [mapi]: distribute all chunks round-robin
      across the shards, then wake every worker once. *)
   let submit_chunks p fs =
     Mutex.lock p.mu;
-    if p.stop then begin
-      Mutex.unlock p.mu;
-      invalid_arg "Par.Pool.submit_chunks: pool is shut down"
-    end;
-    let n = ref 0 in
-    List.iter
-      (fun f ->
-        let shard = p.shards.(p.rr mod p.jobs) in
-        p.rr <- p.rr + 1;
+    List.iteri
+      (fun k f ->
+        let shard = p.shards.(k mod p.jobs) in
         Mutex.lock shard.sh_mu;
-        Ring.push_back shard.sh_ring { t_run = f; t_chunk = true };
-        Mutex.unlock shard.sh_mu;
-        incr n)
+        Ring.push_back shard.sh_ring f;
+        Mutex.unlock shard.sh_mu)
       fs;
-    let d = Atomic.fetch_and_add p.pending !n + !n in
+    let n = List.length fs in
+    let d = Atomic.fetch_and_add p.pending n + n in
     if d > p.qdepth_hwm then p.qdepth_hwm <- d;
     Condition.broadcast p.wake;
     Mutex.unlock p.mu
-
-  let await fut =
-    let p = fut.f_pool in
-    Mutex.lock p.fut_mu;
-    let rec wait () =
-      match fut.f_state with
-      | Pending ->
-        Condition.wait p.fut_ready p.fut_mu;
-        wait ()
-      | Done v ->
-        Mutex.unlock p.fut_mu;
-        v
-      | Failed e ->
-        Mutex.unlock p.fut_mu;
-        raise e
-    in
-    wait ()
 
   let shutdown p =
     Mutex.lock p.mu;
     p.stop <- true;
     Condition.broadcast p.wake;
     Mutex.unlock p.mu;
-    let ws = p.workers in
-    p.workers <- [];
-    List.iter Domain.join ws;
-    if ws <> [] then begin
-      let reg = Obs.Metrics.global () in
-      Obs.Metrics.gauge_max reg "par/pool/queue_depth_hwm"
-        (float_of_int p.qdepth_hwm);
-      Obs.Metrics.gauge_add reg "par/pool/steals"
-        (float_of_int (Atomic.get p.steals));
-      Obs.Metrics.gauge_add reg "par/pool/chunks"
-        (float_of_int (Array.fold_left ( + ) 0 p.worker_chunks));
-      Array.iteri
-        (fun i n ->
-          Obs.Metrics.gauge_add reg
-            (Printf.sprintf "par/pool/worker%d/tasks" i)
-            (float_of_int n))
-        p.worker_tasks;
-      Array.iteri
-        (fun i n ->
-          Obs.Metrics.gauge_add reg
-            (Printf.sprintf "par/pool/worker%d/chunks" i)
-            (float_of_int n))
-        p.worker_chunks;
-      Array.iteri
-        (fun i ns ->
-          Obs.Metrics.gauge_add reg
-            (Printf.sprintf "par/pool/worker%d/idle_s" i)
-            (Int64.to_float ns /. 1e9))
-        p.worker_idle_ns
-    end
+    List.iter Domain.join p.workers;
+    let reg = Obs.Metrics.global () in
+    Obs.Metrics.gauge_max reg "par/pool/queue_depth_hwm"
+      (float_of_int p.qdepth_hwm);
+    Obs.Metrics.gauge_add reg "par/pool/steals"
+      (float_of_int (Atomic.get p.steals));
+    Obs.Metrics.gauge_add reg "par/pool/chunks"
+      (float_of_int (Array.fold_left ( + ) 0 p.worker_chunks));
+    Array.iteri
+      (fun i n ->
+        Obs.Metrics.gauge_add reg
+          (Printf.sprintf "par/pool/worker%d/chunks" i)
+          (float_of_int n))
+      p.worker_chunks;
+    Array.iteri
+      (fun i ns ->
+        Obs.Metrics.gauge_add reg
+          (Printf.sprintf "par/pool/worker%d/idle_s" i)
+          (Int64.to_float ns /. 1e9))
+      p.worker_idle_ns
 end
 
 (* One completion latch per fan-out: the caller sleeps until every

@@ -8,42 +8,15 @@
     regardless of the job count: inputs are split into index chunks,
     result [i] is written for input [i] whatever worker ran it, and
     seeds are derived per-index with {!seed} rather than from any
-    shared mutable generator. *)
+    shared mutable generator.
 
-(** A fixed-size pool of worker domains.  Each worker owns a deque of
-    tasks: the owner pops LIFO, idle workers steal FIFO from victims
-    probed in seeded-random order, and an idle pool parks on a condvar
-    (a sleeping domain does not stall minor collections).  Scheduling
-    facts (queue high-water mark, steal counts, per-worker executed
-    chunk/task counts, idle time) are flushed to the global metrics
-    registry as volatile gauges at shutdown. *)
-module Pool : sig
-  type t
-
-  type 'a future
-  (** A handle for a submitted task's eventual result.  Futures share
-      their pool's completion mutex/condvar — no per-future lock. *)
-
-  val create : jobs:int -> t
-  (** [create ~jobs] spawns [max 1 jobs] worker domains. *)
-
-  val jobs : t -> int
-
-  val submit : t -> (unit -> 'a) -> 'a future
-  (** Enqueue a task (round-robin over the worker deques).  Raises
-      [Invalid_argument] after [shutdown]. *)
-
-  val await : 'a future -> 'a
-  (** Block until the task has run; re-raises the task's exception.
-      Must not be called from within a task running on the same pool
-      (the worker would wait on itself). *)
-
-  val shutdown : t -> unit
-  (** Drain the deques, join every worker domain, and flush the pool's
-      scheduling gauges ([par/pool/steals], [par/pool/chunks],
-      [par/pool/queue_depth_hwm], per-worker tasks/chunks/idle) to the
-      global registry.  Idempotent. *)
-end
+    Each fan-out runs on a private pool of worker domains.  Every worker
+    owns a deque of chunks: the owner pops LIFO, idle workers steal FIFO
+    from victims probed in seeded-random order, and an idle pool parks
+    on a condvar (a sleeping domain does not stall minor collections).
+    Scheduling facts (queue high-water mark, steal counts, per-worker
+    chunk counts, idle time) are flushed to the global metrics registry
+    as volatile gauges when the fan-out ends. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

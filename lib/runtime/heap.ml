@@ -202,12 +202,6 @@ let set_field_cached t (c : field_cache) addr f v =
       else fault "object @%d of class %s has no field %s" addr cls f)
   | Karray _ -> fault "field write %s on an array" f
 
-let field_names t addr =
-  match (cell t addr).kind with
-  | Kobject { layout; _ } | Kclassobj { layout; _ } ->
-    List.sort String.compare (Array.to_list layout.l_names)
-  | Karray _ -> []
-
 let array_len t addr =
   match (cell t addr).kind with
   | Karray { data; _ } -> Array.length data
@@ -255,15 +249,5 @@ let monitor_owner t addr = (cell t addr).monitor.owner
 
 let monitor_free_or_mine t addr ~tid =
   match (cell t addr).monitor.owner with None -> true | Some o -> o = tid
-
-(* Force-release every monitor depth this thread holds on [addr]
-   (used when unwinding a crashed thread). *)
-let force_release t addr ~tid =
-  let m = (cell t addr).monitor in
-  match m.owner with
-  | Some o when o = tid ->
-    m.depth <- 0;
-    m.owner <- None
-  | Some _ | None -> ()
 
 let size t = t.next - 1

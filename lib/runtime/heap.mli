@@ -65,9 +65,6 @@ val get_field_cached : t -> field_cache -> Value.addr -> Jir.Ast.id -> Value.t
 val set_field_cached :
   t -> field_cache -> Value.addr -> Jir.Ast.id -> Value.t -> unit
 
-val field_names : t -> Value.addr -> Jir.Ast.id list
-(** Sorted field names of an object ([[]] for arrays). *)
-
 val array_len : t -> Value.addr -> int
 val array_get : t -> Value.addr -> int -> Value.t
 val array_set : t -> Value.addr -> int -> Value.t -> unit
@@ -79,5 +76,4 @@ val try_enter : t -> Value.addr -> tid:Value.tid -> bool
 val exit : t -> Value.addr -> tid:Value.tid -> unit
 val monitor_owner : t -> Value.addr -> Value.tid option
 val monitor_free_or_mine : t -> Value.addr -> tid:Value.tid -> bool
-val force_release : t -> Value.addr -> tid:Value.tid -> unit
 val size : t -> int

@@ -1426,8 +1426,6 @@ let frames_of m tid = (thread m tid).stack
 let top_frame_th (th : thread) =
   match th.stack with [] -> None | f :: _ -> Some f
 
-let top_frame m tid = top_frame_th (thread m tid)
-
 let labels_used m = m.next_label
 let crash_reason m tid =
   match status m tid with

@@ -169,10 +169,6 @@ val heap : t -> Heap.t
 val unit_of : t -> Jir.Code.unit_
 val frames_of : t -> Value.tid -> frame list
 
-val top_frame : t -> Value.tid -> frame option
-(** The innermost frame of a thread, without rebuilding the frame
-    list. *)
-
 val labels_used : t -> int
 (** Number of event labels consumed so far.  Identical across backends
     for the same (program, seed, schedule). *)

@@ -32,9 +32,6 @@ val shared : t -> Dom.Sites.t
 val prog : t -> Jir.Program.t
 val site_info : t -> Dom.site -> Dom.site_info
 
-val is_spawn_reachable : t -> string -> bool
-(** May the method qname execute on a non-main thread? *)
-
 val covers : t -> field:string -> m1:string -> m2:string -> bool
 (** Is the dynamic race identity (field, unordered {m1, m2}) — where
     [m1]/[m2] are method qnames as the VM names sites — covered by

@@ -89,20 +89,6 @@ let test_max_domains_clamp () =
     "clamped width-1 map = sequential" (List.map succ xs)
     (Par.map ~jobs:8 xs succ)
 
-let test_pool_futures () =
-  let p = Par.Pool.create ~jobs:3 in
-  Alcotest.(check int) "jobs" 3 (Par.Pool.jobs p);
-  let futs = List.init 20 (fun i -> Par.Pool.submit p (fun () -> 2 * i)) in
-  (* Await out of submission order: futures are independent cells. *)
-  let rev_results = List.rev_map Par.Pool.await (List.rev futs) in
-  Alcotest.(check (list int)) "future results" (List.init 20 (fun i -> 2 * i)) rev_results;
-  Par.Pool.shutdown p;
-  (match Par.Pool.submit p (fun () -> 0) with
-  | _ -> Alcotest.fail "submit after shutdown should raise"
-  | exception Invalid_argument _ -> ());
-  (* Shutdown is idempotent. *)
-  Par.Pool.shutdown p
-
 let test_seed_derivation () =
   let seeds = List.init 100 (fun i -> Par.seed ~base:7L ~index:i) in
   Alcotest.(check int) "distinct per index" 100
@@ -229,7 +215,6 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "futures" `Quick test_pool_futures;
           Alcotest.test_case "seed derivation" `Quick test_seed_derivation;
         ] );
       ( "trace-recorder",

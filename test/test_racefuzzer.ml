@@ -73,93 +73,47 @@ let test_candidate_of_report () =
       Alcotest.(check bool) "sites narrowed" true (c.Racefuzzer.c_sites <> None)
     | [] -> Alcotest.fail "no candidates")
 
-(* ------------------------------------------------------------------ *)
-(* Coverage-guided confirmation                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_guided_confirms_real_race () =
+(* Attaching a trace recorder and the postponed-state observer must not
+   change the run: same report, same steps, same postponed high-water
+   mark as the plain run that [confirm] makes. *)
+let test_observed_run_matches_plain () =
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
-  let corpus = Cov.Corpus.create () in
-  let g =
-    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count") ~corpus ()
+  let machine () =
+    match inst () with
+    | Ok ri -> ri.Racefuzzer.ri_machine
+    | Error e -> Alcotest.fail e
   in
-  (match g.Racefuzzer.g_confirmed with
-  | Some report ->
-    Alcotest.(check string) "field" "count" report.Race.r_first.Race.a_field
-  | None -> Alcotest.fail "expected confirmation");
-  Alcotest.(check bool) "spent at least one schedule" true
-    (g.Racefuzzer.g_schedules >= 1)
-
-let test_guided_plateau_stops_early () =
-  (* A synchronized counter can't be confirmed; once the corpus covers
-     its states the plateau must stop the loop well short of budget. *)
-  let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "sinc"; "sinc" ] in
-  let corpus = Cov.Corpus.create () in
-  let g1 =
-    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count")
-      ~budget:20 ~batch:2 ~plateau:1 ~corpus ()
-  in
-  Alcotest.(check bool) "not confirmed" true (g1.Racefuzzer.g_confirmed = None);
-  (* second candidate over the same saturated corpus dries up faster *)
-  let g2 =
-    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count")
-      ~budget:20 ~batch:2 ~plateau:1 ~corpus ()
-  in
-  Alcotest.(check bool) "saturated corpus stops earlier or equal" true
-    (g2.Racefuzzer.g_schedules <= g1.Racefuzzer.g_schedules);
-  Alcotest.(check bool) "well under budget" true
-    (g2.Racefuzzer.g_schedules < 20)
-
-let guided_outcome ~jobs ~corpus =
-  let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "sinc"; "sinc" ] in
-  let g =
-    Racefuzzer.confirm_guided ~instantiate:inst ~cand:(cand "count")
-      ~budget:12 ~batch:3 ~plateau:2 ~jobs ~corpus ()
-  in
-  (g.Racefuzzer.g_confirmed = None, g.Racefuzzer.g_schedules,
-   g.Racefuzzer.g_steps, Cov.Corpus.digest corpus)
-
-let test_guided_jobs_deterministic () =
-  Par.set_max_domains 4;
-  let o1 = guided_outcome ~jobs:1 ~corpus:(Cov.Corpus.create ()) in
-  let o3 = guided_outcome ~jobs:3 ~corpus:(Cov.Corpus.create ()) in
-  let pp (u, s, st, d) = Printf.sprintf "unconf=%b sched=%d steps=%d %s" u s st d in
-  Alcotest.(check string) "jobs=1 = jobs=3" (pp o1) (pp o3)
-
-let test_guided_replay_from_snapshot () =
-  (* Replaying from the same (seed, corpus snapshot) is byte-identical:
-     same schedules, same steps, same final corpus digest. *)
-  let seeded = Cov.Corpus.create () in
-  ignore (guided_outcome ~jobs:1 ~corpus:seeded);
-  let path = Filename.temp_file "narada_corpus" ".nar" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Cov.Corpus.save seeded path;
-      let replay ~jobs =
-        match Cov.Corpus.load path with
-        | Error e -> Alcotest.failf "load: %s" e
-        | Ok corpus -> guided_outcome ~jobs ~corpus
-      in
-      let a = replay ~jobs:1 in
-      let b = replay ~jobs:1 in
-      let c = replay ~jobs:2 in
-      Alcotest.(check bool) "replay deterministic" true (a = b);
-      Alcotest.(check bool) "replay jobs-independent" true (a = c))
+  let observed = ref 0 in
+  for i = 1 to 50 do
+    let seed = Int64.of_int i in
+    let plain =
+      Racefuzzer.directed_run (machine ()) ~cand:(cand "count") ~seed
+        ~fuel:100_000 ~on_confirm:`Report
+    in
+    let m = machine () in
+    let rec_ = Runtime.Trace.attach m in
+    let with_obs =
+      Racefuzzer.directed_run
+        ~on_postponed:(fun _ -> incr observed)
+        m ~cand:(cand "count") ~seed ~fuel:100_000 ~on_confirm:`Report
+    in
+    Runtime.Trace.recycle rec_;
+    if plain <> with_obs then Alcotest.failf "seed %d: observed run differs" i
+  done;
+  Alcotest.(check bool) "observer saw postponed states" true (!observed > 0)
 
 let test_replay_stress_pools_chunks () =
   (* 1000 coverage replays must not grow the per-domain chunk pool past
-     its cap — each directed_run_cov recycles its recorder — and the
-     pool gauge must have been recorded. *)
+     its cap — each directed coverage run recycles its recorder — and
+     the pool gauge must have been recorded. *)
   let inst = instantiator_of counter_src ~cls:"C" ~meths:[ "inc"; "inc" ] in
   for i = 1 to 1000 do
     match inst () with
     | Error e -> Alcotest.fail e
     | Ok ri ->
       ignore
-        (Racefuzzer.directed_run_cov ri.Racefuzzer.ri_machine
-           ~cand:(cand "count")
-           ~seed:(Int64.of_int i) ~fuel:100_000 ());
+        (Eval.Coverage.directed_coverage ri.Racefuzzer.ri_machine
+           ~cand:(cand "count") ~seed:(Int64.of_int i) ~fuel:100_000);
       if Runtime.Trace.pool_size () > Runtime.Trace.max_pooled_chunks () then
         Alcotest.failf "pool grew past cap at replay %d: %d" i
           (Runtime.Trace.pool_size ())
@@ -227,17 +181,11 @@ let () =
             test_no_confirm_when_synchronized;
           Alcotest.test_case "deterministic" `Quick test_confirm_is_deterministic;
           Alcotest.test_case "candidate narrowing" `Quick test_candidate_of_report;
+          Alcotest.test_case "observed run matches plain" `Quick
+            test_observed_run_matches_plain;
         ] );
-      ( "guided",
+      ( "coverage",
         [
-          Alcotest.test_case "real race confirmed" `Quick
-            test_guided_confirms_real_race;
-          Alcotest.test_case "plateau stops early" `Quick
-            test_guided_plateau_stops_early;
-          Alcotest.test_case "jobs-count independent" `Quick
-            test_guided_jobs_deterministic;
-          Alcotest.test_case "replay from snapshot" `Quick
-            test_guided_replay_from_snapshot;
           Alcotest.test_case "1k replays keep pool bounded" `Slow
             test_replay_stress_pools_chunks;
         ] );
