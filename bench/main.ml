@@ -456,10 +456,7 @@ let scheduler_shootout () =
           match instantiate () with
           | Error _ -> None
           | Ok inst ->
-            let serial =
-              Conc.Scheduler.of_fun ~name:"serial" (fun _ runnable ->
-                  List.hd runnable)
-            in
+            let serial = Conc.Scheduler.of_fun (fun _ runnable -> List.hd runnable) in
             ignore (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine serial);
             Some (snapshot_of inst)
         in

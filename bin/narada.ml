@@ -163,10 +163,16 @@ let run_cmd =
     | Conc.Exec.Fuel_exhausted -> print_endline "fuel exhausted");
     List.iter
       (fun (tid, msg) -> Printf.printf "thread %d crashed: %s\n" tid msg)
-      r.Conc.Exec.crashes
+      r.Conc.Exec.crashes;
+    if r.Conc.Exec.outcome <> Conc.Exec.All_finished || r.Conc.Exec.crashes <> []
+    then exit 1
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Execute a Jir program under a seeded random scheduler.")
+    (Cmd.info "run"
+       ~doc:
+         "Execute a Jir program under a seeded random scheduler.  Exit status \
+          is 0 when every thread finishes cleanly and 1 when a thread \
+          crashes, fuel runs out or the run deadlocks.")
     Term.(const run $ file_arg $ corpus_arg $ client_arg $ entry_arg $ seed_arg)
 
 (* ---- trace ---- *)

@@ -76,15 +76,3 @@ let create ?client_classes ?seed (t : t) (cu : Jir.Code.unit_) :
   let m = Runtime.Machine.create ?client_classes ?seed cu in
   install t m;
   m
-
-(* Stepping and suspension go through the machine unchanged: compiled
-   code plugs in underneath [Machine.step], so directed schedulers,
-   peeking and the suspension mechanism work identically on both
-   backends.  These delegations exist so a caller can be written
-   against [Backend] alone. *)
-let step (_ : t) m tid = Runtime.Machine.step m tid
-
-let run_thread_to_completion (_ : t) m tid ~fuel =
-  Runtime.Machine.run_thread_to_completion m tid ~fuel
-
-let suspend (_ : t) m tid = Runtime.Machine.suspend m tid

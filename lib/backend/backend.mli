@@ -6,7 +6,9 @@
     process-wide keyed by the unit's content digest.  Both backends
     produce identical event streams, labels, results and race sets for
     the same (program, seed, schedule) — checked continuously by the
-    [backend-diff] Crucible oracle. *)
+    [backend-diff] Crucible oracle.  Compiled code plugs in underneath
+    the machine's own stepping, so scheduling and suspension go through
+    the machine unchanged on both backends. *)
 
 type kind = Interp | Compiled
 
@@ -48,14 +50,3 @@ val create :
   Jir.Code.unit_ ->
   Runtime.Machine.t
 (** [Machine.create] followed by {!install}. *)
-
-val step : t -> Runtime.Machine.t -> Runtime.Value.tid -> Runtime.Machine.step_result
-
-val run_thread_to_completion :
-  t ->
-  Runtime.Machine.t ->
-  Runtime.Value.tid ->
-  fuel:int ->
-  (Runtime.Value.t option, string) result
-
-val suspend : t -> Runtime.Machine.t -> Runtime.Value.tid -> unit

@@ -17,12 +17,9 @@ type decision = Runtime.Value.tid
    must consume the scheduler's random stream identically, so an
    execution is bit-for-bit the same whichever one the driver calls. *)
 type t = {
-  name : string;
   choose : Runtime.Machine.t -> Runtime.Value.tid list -> decision;
   choose_idx : (Runtime.Machine.t -> int -> int) option;
 }
-
-let name t = t.name
 
 let choose t m runnable = t.choose m runnable
 
@@ -37,7 +34,6 @@ let rand_below = Rng.below
 let round_robin () =
   let last = ref (-1) in
   {
-    name = "round-robin";
     choose =
       (fun _m runnable ->
         let next =
@@ -55,7 +51,6 @@ let random ~seed =
   (* One draw per decision, bound = #runnable, on both paths: the RNG
      stream cannot depend on which interface the driver uses. *)
   {
-    name = Printf.sprintf "random(%Ld)" seed;
     choose = (fun _m runnable -> List.nth runnable (rand_below rng (List.length runnable)));
     choose_idx = Some (fun _m n -> rand_below rng n);
   }
@@ -68,7 +63,6 @@ let random_coarse ~seed ~switch_denominator =
   let rng = mk_rng seed in
   let current = ref (-1) in
   {
-    name = Printf.sprintf "random-coarse(%Ld)" seed;
     choose =
       (fun _m runnable ->
         if List.mem !current runnable && rand_below rng switch_denominator <> 0
@@ -86,7 +80,6 @@ let random_coarse ~seed ~switch_denominator =
 let replay ~decisions =
   let remaining = ref decisions in
   {
-    name = "replay";
     choose =
       (fun _m runnable ->
         match !remaining with
@@ -100,8 +93,8 @@ let replay ~decisions =
     choose_idx = None;
   }
 
-(* A custom scheduler from a function (used by RaceFuzzer). *)
-let of_fun ~name choose = { name; choose; choose_idx = None }
+(* A custom scheduler from a choice function. *)
+let of_fun choose = { choose; choose_idx = None }
 
 (* PCT — probabilistic concurrency testing (Burckhardt et al., ASPLOS'10).
    Threads get distinct random priorities; at [depth - 1] pre-chosen step
@@ -126,7 +119,6 @@ let pct ~seed ~depth ~expected_steps =
   in
   let step = ref 0 in
   {
-    name = Printf.sprintf "pct(d=%d,%Ld)" depth seed;
     choose =
       (fun _m runnable ->
         let best =

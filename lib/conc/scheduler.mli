@@ -8,8 +8,6 @@ type decision = Runtime.Value.tid
 
 type t
 
-val name : t -> string
-
 val choose : t -> Runtime.Machine.t -> Runtime.Value.tid list -> decision
 (** [choose t m runnable] picks one of [runnable] (non-empty). *)
 
@@ -34,8 +32,8 @@ val replay : decisions:Runtime.Value.tid list -> t
 (** Follow a pre-recorded decision list; falls back to the first
     runnable thread when a decision is impossible. *)
 
-val of_fun :
-  name:string -> (Runtime.Machine.t -> Runtime.Value.tid list -> decision) -> t
+val of_fun : (Runtime.Machine.t -> Runtime.Value.tid list -> decision) -> t
+(** A scheduler from a choice function. *)
 
 val pct : seed:int64 -> depth:int -> expected_steps:int -> t
 (** PCT — probabilistic concurrency testing (Burckhardt et al.,

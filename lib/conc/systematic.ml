@@ -30,62 +30,66 @@ type stats = {
   st_exhausted : bool; (* true when the budget cut exploration short *)
 }
 
-(* One replayed execution.  Returns the outcome, the full schedule taken
-   and the branch alternatives discovered past the prefix (with their
+(* One replayed execution: a prefix-then-non-preemptive policy over
+   [Exec.drive].  Every decision costs one unit of fuel (the step
+   bound), whatever the step's result.  Returns the outcome and the
+   branch alternatives discovered past the prefix (with their
    preemption counts). *)
 let run_one (m : Runtime.Machine.t) ~(prefix : (Runtime.Value.tid * int) list)
     ~(config : config) :
     outcome * (Runtime.Value.tid * int) list list =
   let alternatives = ref [] in
   let schedule = ref [] in (* reversed (tid, preemptions-so-far) *)
-  let prefix = Array.of_list prefix in
-  let rec go i preemptions =
-    if i >= config.sc_max_steps then Step_limit
-    else
-      match Runtime.Machine.runnable_tids m with
-      | [] ->
-        if Runtime.Machine.live_tids m = [] then Finished
-        else Deadlocked (Runtime.Machine.live_tids m)
-      | runnable ->
-        let last =
-          match !schedule with (t, _) :: _ -> Some t | [] -> None
-        in
-        let default =
-          match last with
-          | Some t when List.mem t runnable -> t
-          | Some _ | None -> List.hd runnable
-        in
-        let choice, preemptions =
-          if i < Array.length prefix then
-            let t, p = prefix.(i) in
-            if List.mem t runnable then (t, p) else (default, preemptions)
-          else begin
-            (* collect the untaken alternatives at this fresh point *)
-            List.iter
-              (fun t ->
-                if t <> default then begin
-                  let is_preemption =
-                    match last with
-                    | Some l -> List.mem l runnable && t <> l
-                    | None -> false
-                  in
-                  let p' = preemptions + if is_preemption then 1 else 0 in
-                  if p' <= config.sc_preemption_bound then
-                    alternatives :=
-                      (List.rev ((t, p') :: !schedule)) :: !alternatives
-                end)
-              runnable;
-            (default, preemptions)
+  let prefix = ref prefix in (* one entry consumed per decision *)
+  let preemptions = ref 0 in
+  (* Alternatives need the whole runnable set, so this policy lists it
+     rather than counting. *)
+  let choose _count =
+    match Runtime.Machine.runnable_tids m with
+    | [] -> Exec.Stop
+    | runnable ->
+      let last = match !schedule with (t, _) :: _ -> Some t | [] -> None in
+      let default =
+        match last with
+        | Some t when List.mem t runnable -> t
+        | Some _ | None -> List.hd runnable
+      in
+      let choice =
+        match !prefix with
+        | (t, p) :: rest ->
+          prefix := rest;
+          if List.mem t runnable then begin
+            preemptions := p;
+            t
           end
-        in
-        schedule := (choice, preemptions) :: !schedule;
-        (match Runtime.Machine.step m choice with
-        | Runtime.Machine.Stepped | Runtime.Machine.Blocked
-        | Runtime.Machine.Not_runnable ->
-          ());
-        go (i + 1) preemptions
+          else default
+        | [] ->
+          (* collect the untaken alternatives at this fresh point *)
+          List.iter
+            (fun t ->
+              if t <> default then begin
+                let is_preemption =
+                  match last with
+                  | Some l -> List.mem l runnable && t <> l
+                  | None -> false
+                in
+                let p' = !preemptions + if is_preemption then 1 else 0 in
+                if p' <= config.sc_preemption_bound then
+                  alternatives :=
+                    (List.rev ((t, p') :: !schedule)) :: !alternatives
+              end)
+            runnable;
+          default
+      in
+      schedule := (choice, !preemptions) :: !schedule;
+      Exec.Run (Runtime.Machine.find_thread m choice)
   in
-  let outcome = go 0 0 in
+  let outcome =
+    match Exec.drive ~fuel:config.sc_max_steps m { Exec.base with choose } with
+    | Exec.All_finished -> Finished
+    | Exec.Deadlock live -> Deadlocked live
+    | Exec.Fuel_exhausted -> Step_limit
+  in
   (outcome, !alternatives)
 
 (* Explore all schedules of [restart]'s program within the bounds.

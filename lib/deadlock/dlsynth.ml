@@ -122,7 +122,7 @@ let instantiate ?(seed = Runtime.Machine.default_seed) (cu : Jir.Code.unit_) ~cl
    interleaving if it exists. *)
 let directed_deadlock_scheduler (racy : Runtime.Value.tid list) :
     Conc.Scheduler.t =
-  Conc.Scheduler.of_fun ~name:"directed-deadlock" (fun m runnable ->
+  Conc.Scheduler.of_fun (fun m runnable ->
       let poised tid =
         match Runtime.Machine.peek m tid with
         | Some (_, _, Jir.Code.Ienter _) ->

@@ -23,11 +23,6 @@ type pair = { dl_a : edge; dl_b : edge }
 
 val pair_to_string : pair -> string
 
-val edges_of_trace :
-  client_classes:Jir.Ast.id list -> Runtime.Trace.t -> edge list
-
-val pairs_of_edges : edge list -> pair list
-
 val analyze :
   Jir.Code.unit_ ->
   client_classes:Jir.Ast.id list ->

@@ -174,3 +174,10 @@ let candidates t : Race.report list =
       done)
     t.history;
   Race.dedup (List.rev !out)
+
+(* One detection run: a seeded random schedule of the machine with the
+   hybrid collector attached; its candidate pairs. *)
+let detect_once (m : Runtime.Machine.t) ~seed : Race.report list =
+  let t = attach m in
+  ignore (Conc.Exec.run m (Conc.Scheduler.random ~seed));
+  candidates t

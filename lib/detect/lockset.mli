@@ -27,3 +27,8 @@ val eraser_reports : t -> Race.report list
 val candidates : t -> Race.report list
 (** All conflicting pairs with disjoint locksets (requires
     [keep_history], the default), deduplicated. *)
+
+val detect_once : Runtime.Machine.t -> seed:int64 -> Race.report list
+(** Run the machine to completion under a seeded random schedule with
+    {!attach}ed bookkeeping and return its {!candidates}: one detection
+    schedule of a synthesized test. *)

@@ -68,7 +68,7 @@ let conflicting (a : Runtime.Machine.pending_access)
   && Option.equal Int.equal a.Runtime.Machine.pa_idx b.Runtime.Machine.pa_idx
   && (a.Runtime.Machine.pa_kind = `Write || b.Runtime.Machine.pa_kind = `Write)
 
-(* Dense per-tid mirrors used by the directed loop below: tids are
+(* Dense per-tid mirrors used by the postponing policy below: tids are
    small consecutive ints, so per-step membership tests and the
    pending-access memo live in growable arrays instead of hashtables.
    The [postponed] hashtable itself is kept — its fold order decides
@@ -88,13 +88,20 @@ let tid_slot tm tid =
   end;
   tid
 
-(* One directed execution.  [on_confirm] decides what to do when the
-   pair is simultaneously enabled: return [`Report] to stop and report,
-   or [`Force order] to execute the racing accesses in the given order
-   and continue to completion (used by triage).  [on_postponed] sees the
+(* Where a directed run stands: postponing threads at matching accesses,
+   about to step the second of a forced racing pair, or done forcing. *)
+type phase = Directing | Second of Runtime.Machine.thread | Forced
+
+(* One directed execution: a postponing policy over [Conc.Exec.drive].
+   [on_confirm] decides what to do when the pair is simultaneously
+   enabled: return [`Report] to stop and report, or [`Force order] to
+   execute the racing accesses in the given order (at no fuel cost) and
+   finish the execution under plain random scheduling (used by triage).  [on_postponed] sees the
    postponed set as (tid, field) pairs whenever a thread joins it or is
    released from it while it stays non-empty (coverage uses it for
-   postponed-state features); without it no state list is built. *)
+   postponed-state features); without it no state list is built.  Every
+   RNG draw — a random step or the release of a postponed thread — is
+   one [Rng.below] on the one stream, and every step counts. *)
 let directed_run ?on_postponed (m : Runtime.Machine.t) ~(cand : candidate)
     ~seed ~fuel
     ~(on_confirm :
@@ -119,11 +126,11 @@ let directed_run ?on_postponed (m : Runtime.Machine.t) ~(cand : candidate)
   let steps = ref 0 in
   let max_postponed = ref 0 in
   let result = ref None in
+  let phase = ref Directing in
   (* A thread's pending access only changes when that thread itself
      steps (it reads the thread's own registers and pc), so memoize it
      per tid and invalidate on step instead of re-decoding the next
-     instruction of every runnable thread on every scheduler
-     iteration. *)
+     instruction of every runnable thread at every scheduling point. *)
   let pa_memo : Runtime.Machine.pending_access option option tidmap =
     tidmap None
   in
@@ -136,12 +143,6 @@ let directed_run ?on_postponed (m : Runtime.Machine.t) ~(cand : candidate)
       pa_memo.slots.(i) <- Some v;
       v
   in
-  let step_th th =
-    ignore (Runtime.Machine.step_th m th);
-    pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
-    incr steps
-  in
-  let step_tid tid = step_th (Runtime.Machine.find_thread m tid) in
   let postpone tid pa =
     Hashtbl.replace postponed tid pa;
     in_postponed.slots.(tid_slot in_postponed tid) <- true;
@@ -151,123 +152,91 @@ let directed_run ?on_postponed (m : Runtime.Machine.t) ~(cand : candidate)
     Hashtbl.remove postponed tid;
     in_postponed.slots.(tid_slot in_postponed tid) <- false
   in
-  let reset_postponed () =
-    Hashtbl.reset postponed;
-    Array.fill in_postponed.slots 0 (Array.length in_postponed.slots) false
-  in
   let is_postponed tid = in_postponed.slots.(tid_slot in_postponed tid) in
-  let np_ok th =
-    Runtime.Machine.runnable_th m th
-    && not (is_postponed (Runtime.Machine.thread_id th))
+  (* Postpone a runnable thread poised at a matching access. *)
+  let refresh th =
+    let tid = Runtime.Machine.thread_id th in
+    if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
+      match pending th with
+      | Some pa when matches cand pa -> postpone tid pa
+      | Some _ | None -> ()
   in
-  let rec count_np acc = function
-    | [] -> acc
-    | th :: rest -> count_np (if np_ok th then acc + 1 else acc) rest
-  and nth_np i = function
-    | [] -> invalid_arg "directed_run: runnable index out of range"
-    | th :: rest ->
-      if np_ok th then if i = 0 then th else nth_np (i - 1) rest
-      else nth_np i rest
-  in
-  let rec count_r acc = function
-    | [] -> acc
-    | th :: rest ->
-      count_r (if Runtime.Machine.runnable_th m th then acc + 1 else acc) rest
-  and nth_r i = function
-    | [] -> invalid_arg "directed_run: runnable index out of range"
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then
-        if i = 0 then th else nth_r (i - 1) rest
-      else nth_r i rest
-  in
-  let rec loop fuel =
-    if fuel <= 0 || !result <> None then ()
-    else begin
-      (* Refresh the postponed set: threads poised at a matching access. *)
-      changed := false;
-      List.iter
-        (fun th ->
-          let tid = Runtime.Machine.thread_id th in
-          if (not (is_postponed tid)) && Runtime.Machine.runnable_th m th then
-            match pending th with
-            | Some pa when matches cand pa -> postpone tid pa
-            | Some _ | None -> ())
-        (Runtime.Machine.all_threads m);
-      if !changed then observe ();
-      let np = Hashtbl.length postponed in
-      if np > !max_postponed then max_postponed := np;
-      (* Check for a simultaneously-enabled conflicting pair; with fewer
-         than two postponed threads there is nothing to scan. *)
-      let pair =
-        if np < 2 then []
-        else begin
-          let poised =
-            Hashtbl.fold (fun tid pa acc -> (tid, pa) :: acc) postponed []
-          in
-          List.concat_map
-            (fun (t1, p1) ->
-              List.filter_map
-                (fun (t2, p2) ->
-                  if t1 < t2 && conflicting p1 p2 then Some ((t1, p1), (t2, p2))
-                  else None)
-                poised)
-            poised
-        end
-      in
-      match pair with
-      | ((t1, p1), (t2, p2)) :: _ -> (
-        let report =
+  let direct count =
+    changed := false;
+    List.iter refresh (Runtime.Machine.all_threads m);
+    if !changed then observe ();
+    let np = Hashtbl.length postponed in
+    if np > !max_postponed then max_postponed := np;
+    (* Check for a simultaneously-enabled conflicting pair; with fewer
+       than two postponed threads there is nothing to scan. *)
+    let pair =
+      if np < 2 then []
+      else begin
+        let poised =
+          Hashtbl.fold (fun tid pa acc -> (tid, pa) :: acc) postponed []
+        in
+        List.concat_map
+          (fun (t1, p1) ->
+            List.filter_map
+              (fun (t2, p2) ->
+                if t1 < t2 && conflicting p1 p2 then Some ((t1, p1), (t2, p2))
+                else None)
+              poised)
+          poised
+      end
+    in
+    match pair with
+    | ((t1, p1), (t2, p2)) :: _ -> (
+      result :=
+        Some
           {
             Race.r_first = access_of_pending m t1 p1 ~label:!steps;
             r_second = access_of_pending m t2 p2 ~label:!steps;
             r_detector = "racefuzzer";
-          }
-        in
-        result := Some report;
-        match on_confirm with
-        | `Report -> ()
-        | `Force_first () ->
-          (* Execute the racing accesses back to back, first t1's. *)
-          step_tid t1;
-          step_tid t2;
-          reset_postponed ();
-          drain fuel
-        | `Force_second () ->
-          step_tid t2;
-          step_tid t1;
-          reset_postponed ();
-          drain fuel)
-      | [] -> (
-        (* Pick among the runnable, non-postponed threads: two
-           allocation-free walks of the creation-order list, with the
-           RNG drawn between them exactly as the list-based code did
-           (same bound, one draw). *)
-        match count_np 0 (Runtime.Machine.all_threads m) with
-        | 0 -> (
-          (* Everyone is postponed or blocked: release a postponed thread. *)
-          let poised = Hashtbl.fold (fun tid _ acc -> tid :: acc) postponed [] in
-          match List.sort Int.compare poised with
-          | [] -> () (* genuine deadlock or completion *)
-          | l ->
-            let tid = List.nth l (pick (List.length l)) in
-            unpostpone tid;
-            observe ();
-            step_tid tid;
-            loop (fuel - 1))
-        | k ->
-          step_th (nth_np (pick k) (Runtime.Machine.all_threads m));
-          loop (fuel - 1))
-    end
-  and drain fuel =
-    (* Finish the execution under plain random scheduling. *)
-    if fuel > 0 then
-      match count_r 0 (Runtime.Machine.all_threads m) with
-      | 0 -> ()
-      | k ->
-        step_th (nth_r (pick k) (Runtime.Machine.all_threads m));
-        drain (fuel - 1)
+          };
+      let force a b =
+        phase := Second (Runtime.Machine.find_thread m b);
+        Conc.Exec.Free (Runtime.Machine.find_thread m a)
+      in
+      match on_confirm with
+      | `Report -> Conc.Exec.Stop
+      | `Force_first () -> force t1 t2
+      | `Force_second () -> force t2 t1)
+    | [] -> (
+      (* Pick among the runnable, non-postponed threads. *)
+      match count () with
+      | 0 -> (
+        (* Everyone is postponed or blocked: release a postponed thread. *)
+        let poised = Hashtbl.fold (fun tid _ acc -> tid :: acc) postponed [] in
+        match List.sort Int.compare poised with
+        | [] -> Conc.Exec.Stop (* genuine deadlock or completion *)
+        | l ->
+          let tid = List.nth l (pick (List.length l)) in
+          unpostpone tid;
+          observe ();
+          Conc.Exec.Run (Runtime.Machine.find_thread m tid))
+      | _ -> Conc.Exec.Draw)
   in
-  loop fuel;
+  let choose count =
+    match !phase with
+    | Directing -> direct count
+    | Second th ->
+      phase := Forced;
+      Conc.Exec.Free th
+    | Forced -> Conc.Exec.Stop
+  in
+  let on_step th _ =
+    pa_memo.slots.(tid_slot pa_memo (Runtime.Machine.thread_id th)) <- None;
+    incr steps
+  in
+  let excluded = Some (fun th -> is_postponed (Runtime.Machine.thread_id th)) in
+  ignore (Conc.Exec.drive ~fuel m { Conc.Exec.excluded; choose; draw = pick; on_step });
+  (* The drain gets the fuel left: every step so far cost one unit
+     except the forced pair. *)
+  if (match !phase with Forced -> true | Directing | Second _ -> false) then
+    ignore
+      (Conc.Exec.drive ~fuel:(fuel - (!steps - 2)) m
+         { Conc.Exec.base with choose = (fun _ -> Conc.Exec.Draw); draw = pick; on_step });
   (!result, { rs_steps = !steps; rs_max_postponed = !max_postponed })
 
 (* Try to confirm a candidate over several directed runs with different

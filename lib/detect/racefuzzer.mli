@@ -25,7 +25,6 @@ type candidate = {
 }
 
 val candidate_of_report : Race.report -> candidate
-val matches : candidate -> Runtime.Machine.pending_access -> bool
 
 type confirm_result = {
   confirmed : Race.report option;

@@ -55,29 +55,19 @@ let returns_of (inst : Racefuzzer.instance) =
 
 (* Priority replay: step the first runnable thread of [order], else the
    first runnable thread in creation order, until quiescent or out of
-   fuel.  Priority scheduling draws no randomness, so the loop runs on
-   thread records with no per-step allocation. *)
+   fuel.  Priority scheduling draws no randomness, and the picks for
+   [order] are built once per replay, so no step allocates. *)
 let run_priority m ~order ~fuel =
-  let rec first_runnable = function
-    | [] -> None
-    | th :: rest ->
-      if Runtime.Machine.runnable_th m th then Some th else first_runnable rest
+  let order = List.map (fun th -> (th, Conc.Exec.Run th)) order in
+  (* Folded over [order] from [First]: the pick of its first runnable
+     thread, or [First] when none is runnable. *)
+  let prefer pick (th, run) =
+    match pick with
+    | Conc.Exec.First when Runtime.Machine.runnable_th m th -> run
+    | _ -> pick
   in
-  let rec loop fuel =
-    if fuel > 0 then begin
-      let next =
-        match first_runnable order with
-        | Some th -> Some th
-        | None -> first_runnable (Runtime.Machine.all_threads m)
-      in
-      match next with
-      | None -> ()
-      | Some th ->
-        ignore (Runtime.Machine.step_th m th);
-        loop (fuel - 1)
-    end
-  in
-  loop fuel
+  let choose _ = List.fold_left prefer Conc.Exec.First order in
+  ignore (Conc.Exec.drive ~fuel m { Conc.Exec.base with choose })
 
 let outcome_of (inst : Racefuzzer.instance) =
   {

@@ -65,15 +65,6 @@ let default_options =
     opt_backend = Backend.default_kind ();
   }
 
-(* Execute one synthesized test under a random schedule with the hybrid
-   detector attached; returns the candidate races. *)
-let detect_once (inst : Detect.Racefuzzer.instance) ~seed :
-    Detect.Race.report list =
-  let lockset = Detect.Lockset.attach inst.Detect.Racefuzzer.ri_machine in
-  let sched = Conc.Scheduler.random ~seed in
-  ignore (Conc.Exec.run inst.Detect.Racefuzzer.ri_machine sched);
-  Detect.Lockset.candidates lockset
-
 let rec evaluate_test (opts : options) (an : Narada_core.Pipeline.analysis)
     (t : Narada_core.Synth.test) : test_eval =
   (* ~root: the (class, test) units run on Par worker domains; the span
@@ -104,11 +95,13 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
       Par.mapi ~jobs:opts.opt_jobs
         (List.init opts.opt_schedules Fun.id)
         (fun _ i ->
-          if i = 0 then detect_once first ~seed:opts.opt_seed
-          else
-            match instantiate () with
-            | Ok inst -> detect_once inst ~seed:(schedule_seed i)
-            | Error _ -> [])
+          (* schedule 0 reuses the first instance; [schedule_seed 0] is
+             the base seed *)
+          match if i = 0 then Ok first else instantiate () with
+          | Ok inst ->
+            Detect.Lockset.detect_once inst.Detect.Racefuzzer.ri_machine
+              ~seed:(schedule_seed i)
+          | Error _ -> [])
     in
     List.iter (List.iter note) per_schedule;
     Obs.Metrics.incr reg ~n:opts.opt_schedules "detect/schedules";
@@ -335,7 +328,10 @@ let ablation (e : Corpus.Corpus_def.entry) : (ablation_row, string) result =
                    t
                with
                | Error _ -> false
-               | Ok inst -> detect_once inst ~seed:7L <> [])
+               | Ok inst ->
+                 Detect.Lockset.detect_once inst.Detect.Racefuzzer.ri_machine
+                   ~seed:7L
+                 <> [])
              an.Narada_core.Pipeline.an_tests)
       in
       Ok

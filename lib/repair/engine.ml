@@ -102,13 +102,6 @@ let lock_pairs cu sub =
   | Ok (_edges, pairs) ->
     Ok (List.sort_uniq String.compare (List.map Deadlock.Lockorder.pair_to_string pairs))
 
-(* One seeded detection run: lockset candidates of a fresh instance. *)
-let detect_once (inst : Rf.instance) ~seed : Detect.Race.report list =
-  let lockset = Detect.Lockset.attach inst.Rf.ri_machine in
-  let sched = Conc.Scheduler.random ~seed in
-  ignore (Conc.Exec.run inst.Rf.ri_machine sched);
-  Detect.Lockset.candidates lockset
-
 let schedule_seed (opts : options) i =
   Int64.add opts.eo_seed (Int64.of_int (i * 1299709))
 
@@ -126,7 +119,7 @@ let test_candidates (opts : options) (an : Pipeline.analysis) (t : Synth.test) :
         (fun r ->
           let k = Detect.Race.key_of r in
           if not (Hashtbl.mem tbl k) then Hashtbl.replace tbl k r)
-        (detect_once inst ~seed:(schedule_seed opts i))
+        (Detect.Lockset.detect_once inst.Rf.ri_machine ~seed:(schedule_seed opts i))
   done;
   ( List.sort
       (fun (k1, _) (k2, _) -> Detect.Race.compare_key k1 k2)

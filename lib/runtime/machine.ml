@@ -96,7 +96,7 @@ let default_seed = 42L
 
 exception Crash of string
 (* Internal: raised while executing one instruction; converted into a
-   thread crash by [step]. *)
+   thread crash by [step_th]. *)
 
 let crash fmt = Format.kasprintf (fun m -> raise (Crash m)) fmt
 
@@ -740,7 +740,7 @@ let exec_instr m th (f : frame) : bool =
    static call targets pre-resolved, field-initializer chains
    precomputed, and virtual calls go through a per-site inline cache.
 
-   The closures are *observer-free fast paths*: [step] routes through
+   The closures are *observer-free fast paths*: [step_th] routes through
    them only when no observer is registered, so they skip building
    Event records entirely — but they advance [next_label] in exact
    lockstep with [exec_instr] (which consumes a label for every event
@@ -1296,9 +1296,7 @@ let step_th m (th : thread) : step_result =
           (Printf.sprintf "%s (at %s:%d)" msg f.meth.Code.cm_qname f.pc);
         Stepped))
 
-let step m tid : step_result = step_th m (thread m tid)
-
-(* What would [step] execute next?  Used by directed schedulers and by
+(* What would [step_th] execute next?  Used by directed schedulers and by
    the test synthesizer's suspension mechanism. *)
 let peek_th (th : thread) : (Code.meth * int * Code.instr) option =
   match th.status with

@@ -98,12 +98,6 @@ val call :
 
 type step_result = Stepped | Blocked | Not_runnable
 
-val step : t -> Value.tid -> step_result
-(** Execute one instruction of the given thread.  A crash (null
-    dereference, failed assertion, [throw], ...) unwinds the thread,
-    releases its monitors (emitting [Unlock] events) and marks it
-    [Crashed]; this counts as [Stepped]. *)
-
 val status : t -> Value.tid -> status
 val runnable : t -> Value.tid -> bool
 (** Can this thread make progress right now (including a blocked thread
@@ -119,9 +113,10 @@ val threads : t -> Value.tid list
 (** {2 Record-based stepping}
 
     Hot driver loops (the executor, replay, directed fuzzing) run
-    millions of steps; these variants take the thread record directly so
-    a loop pays the tid -> record hash lookup once, not per step.  They
-    are observationally identical to the tid-based functions. *)
+    millions of steps; stepping and these queries take the thread
+    record directly so a loop pays the tid -> record hash lookup once,
+    not per step.  The queries are observationally identical to their
+    tid-based counterparts. *)
 
 type thread
 (** Runtime state of one thread; stays valid for the machine's
@@ -133,6 +128,11 @@ val find_thread : t -> Value.tid -> thread
 val thread_id : thread -> Value.tid
 val status_th : thread -> status
 val step_th : t -> thread -> step_result
+(** Execute one instruction of the given thread.  A crash (null
+    dereference, failed assertion, [throw], ...) unwinds the thread,
+    releases its monitors (emitting [Unlock] events) and marks it
+    [Crashed]; this counts as [Stepped]. *)
+
 val runnable_th : t -> thread -> bool
 
 val runnable_threads : t -> thread list
@@ -150,7 +150,7 @@ val pending_call_th :
 val peek_th : thread -> (Jir.Code.meth * int * Jir.Code.instr) option
 
 val peek : t -> Value.tid -> (Jir.Code.meth * int * Jir.Code.instr) option
-(** The instruction [step] would execute next. *)
+(** The instruction {!step_th} would execute next. *)
 
 val pending_call :
   t -> Value.tid -> (Jir.Code.meth * Value.t option * Value.t list) option

@@ -123,6 +123,36 @@ let test_crashes_collected () =
   let r, _m = run_fixture src in
   Alcotest.(check int) "two crashes" 2 (List.length r.Conc.Exec.crashes)
 
+(* [Exec.drive] charges one unit of fuel per [Draw], [First] or [Run]
+   pick and none per [Free]; [on_step] sees every step; [Stop] while a
+   thread is still live yields [Deadlock] of the live threads. *)
+let test_drive_accounting () =
+  let cu = Jir.Compile.compile_source Testlib.Fixtures.racy_counter in
+  let drive ~fuel pick =
+    let m = Runtime.Machine.create ~client_classes:[ "Main" ] cu in
+    let cm = Option.get (Jir.Code.find_static cu "Main" "main") in
+    ignore (Runtime.Machine.new_thread m ~cm ~recv:None ~args:[] ());
+    let steps = ref 0 in
+    let choose count = if count () = 0 then Conc.Exec.Stop else pick m in
+    let on_step _ _ = incr steps in
+    let outcome = Conc.Exec.drive ~fuel m { Conc.Exec.base with choose; on_step } in
+    (outcome, !steps)
+  in
+  let first m = List.hd (Runtime.Machine.runnable_threads m) in
+  let outcome, total = drive ~fuel:10_000 (fun _ -> Conc.Exec.Draw) in
+  Alcotest.(check bool) "draw finishes" true (outcome = Conc.Exec.All_finished);
+  let outcome, steps = drive ~fuel:10_000 (fun _ -> Conc.Exec.First) in
+  Alcotest.(check bool) "first finishes" true (outcome = Conc.Exec.All_finished);
+  Alcotest.(check int) "first = draw of index 0" total steps;
+  let outcome, steps = drive ~fuel:5 (fun m -> Conc.Exec.Run (first m)) in
+  Alcotest.(check bool) "run costs fuel" true (outcome = Conc.Exec.Fuel_exhausted);
+  Alcotest.(check int) "one step per unit" 5 steps;
+  let outcome, steps = drive ~fuel:5 (fun m -> Conc.Exec.Free (first m)) in
+  Alcotest.(check bool) "free costs none" true (outcome = Conc.Exec.All_finished);
+  Alcotest.(check int) "same schedule as draw" total steps;
+  let outcome, _ = drive ~fuel:5 (fun _ -> Conc.Exec.Stop) in
+  Alcotest.(check bool) "early stop" true (outcome = Conc.Exec.Deadlock [ 0 ])
+
 let () =
   Alcotest.run "sched"
     [
@@ -140,5 +170,6 @@ let () =
           Alcotest.test_case "crash collection" `Quick test_crashes_collected;
           Alcotest.test_case "pct finds bug" `Quick test_pct_finds_lost_update;
           Alcotest.test_case "pct deterministic" `Quick test_pct_deterministic;
+          Alcotest.test_case "drive fuel accounting" `Quick test_drive_accounting;
         ] );
     ]
