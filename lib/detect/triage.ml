@@ -7,12 +7,16 @@
    otherwise.  Concretely we compare, over identical instantiations:
 
    - the fully serialized execution (thread A to completion, then B),
+   - the reverse serialization (B, then A),
    - race-forced executions where the two racing accesses are executed
      back to back in both orders at the moment they are simultaneously
      enabled (lost updates surface here),
 
-   and declare the race harmful if any final snapshot (hash of the heap
-   reachable from the test roots) or crash outcome differs. *)
+   and declare the race harmful if any of the last three differs from
+   the first in its final snapshot (hash of the heap reachable from the
+   test roots), crash set or the racy threads' return values.  The two
+   serializations depend only on the test, so [baselines] runs them
+   once per test and [verdict] adds the forced runs per race. *)
 
 type verdict = Harmful | Benign
 
@@ -108,29 +112,52 @@ let equal_outcome (a : outcome) (b : outcome) =
   && List.equal String.equal a.o_crashes b.o_crashes
   && List.equal String.equal a.o_returns b.o_returns
 
-(* Triage a confirmed race.  [instantiate] must be deterministic: each
-   call rebuilds an identical initial state. *)
-let triage ~(instantiate : Racefuzzer.instantiator)
-    ~(cand : Racefuzzer.candidate) ?(seed = 7L) ?(fuel = 200_000) () :
-    (verdict, string) result =
-  let with_instance k =
-    match instantiate () with
-    | Error e -> Error e
-    | Ok inst ->
-      Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
-      Ok (k inst)
-  in
-  let ( let* ) = Result.bind in
-  let* baseline =
-    with_instance (fun inst ->
+(* One replay on a fresh instantiation, counted. *)
+let with_instance (instantiate : Racefuzzer.instantiator) k =
+  match instantiate () with
+  | Error e -> Error e
+  | Ok inst ->
+    Obs.Metrics.incr (Obs.Metrics.global ()) "triage/replays";
+    Ok (k inst)
+
+let ( let* ) = Result.bind
+
+(* The A;B outcome every comparison is made against, and whether B;A
+   reaches the same one.  Neither depends on the race, only on the
+   test. *)
+type baselines = { b_serial : outcome; b_commute : bool }
+
+let baselines ~(instantiate : Racefuzzer.instantiator) ?(fuel = 200_000) () :
+    (baselines, string) result =
+  let* serial =
+    with_instance instantiate (fun inst ->
         run_serialized inst ~order:inst.Racefuzzer.ri_threads ~fuel)
   in
-  let* baseline_rev =
-    with_instance (fun inst ->
+  let* serial_rev =
+    with_instance instantiate (fun inst ->
         run_serialized inst ~order:(List.rev inst.Racefuzzer.ri_threads) ~fuel)
   in
-  let* forced1 = with_instance (fun inst -> run_forced inst ~cand ~first:true ~seed ~fuel) in
-  let* forced2 = with_instance (fun inst -> run_forced inst ~cand ~first:false ~seed ~fuel) in
-  let differs o = not (equal_outcome baseline o) in
-  if differs baseline_rev || differs forced1 || differs forced2 then Ok Harmful
-  else Ok Benign
+  Ok { b_serial = serial; b_commute = equal_outcome serial serial_rev }
+
+(* Harmful iff B;A, forced-first or forced-second differs from A;B;
+   the comparisons run in that order and stop at the first difference.
+   [instantiate] must be deterministic: each call rebuilds an identical
+   initial state. *)
+let verdict (b : baselines) ~(instantiate : Racefuzzer.instantiator)
+    ~(cand : Racefuzzer.candidate) ?(seed = 7L) ?(fuel = 200_000) () :
+    (verdict, string) result =
+  let differs ~first =
+    with_instance instantiate (fun inst ->
+        not (equal_outcome b.b_serial (run_forced inst ~cand ~first ~seed ~fuel)))
+  in
+  if not b.b_commute then Ok Harmful
+  else
+    let* d1 = differs ~first:true in
+    if d1 then Ok Harmful
+    else
+      let* d2 = differs ~first:false in
+      Ok (if d2 then Harmful else Benign)
+
+let triage ~instantiate ~cand ?seed ?fuel () =
+  let* b = baselines ~instantiate ?fuel () in
+  verdict b ~instantiate ~cand ?seed ?fuel ()

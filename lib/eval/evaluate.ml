@@ -113,6 +113,9 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
         (Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl [])
     in
     Obs.Metrics.incr reg ~n:(List.length candidates) "detect/candidates";
+    (* The triage baselines belong to the test: run at the first
+       reproduced race, shared by the rest. *)
+    let baselines = lazy (Detect.Triage.baselines ~instantiate ()) in
     let races =
       List.map
         (fun (k, r) ->
@@ -126,7 +129,10 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
           if reproduced then Obs.Metrics.incr reg "detect/reproduced";
           let verdict =
             if reproduced then
-              match Detect.Triage.triage ~instantiate ~cand ~seed:opts.opt_seed () with
+              match
+                Result.bind (Lazy.force baselines) (fun b ->
+                    Detect.Triage.verdict b ~instantiate ~cand ~seed:opts.opt_seed ())
+              with
               | Ok v -> Some v
               | Error _ -> None
             else None

@@ -352,6 +352,11 @@ let repair_all ?(opts = default_options) (sub : subject) :
           List.iter
             (fun t ->
               let cands, instantiate = test_candidates opts an t in
+              (* One set of triage baselines per test, run at its first
+                 confirmed race. *)
+              let baselines =
+                lazy (Detect.Triage.baselines ~instantiate ~fuel:opts.eo_fuel ())
+              in
               List.iter
                 (fun (k, r) ->
                   match rid_of_key_opt k with
@@ -369,8 +374,9 @@ let repair_all ?(opts = default_options) (sub : subject) :
                       if res.Rf.confirmed <> None then begin
                         let verdict =
                           match
-                            Detect.Triage.triage ~instantiate ~cand
-                              ~seed:opts.eo_seed ~fuel:opts.eo_fuel ()
+                            Result.bind (Lazy.force baselines) (fun b ->
+                                Detect.Triage.verdict b ~instantiate ~cand
+                                  ~seed:opts.eo_seed ~fuel:opts.eo_fuel ())
                           with
                           | Ok v -> Some v
                           | Error _ -> None

@@ -1256,7 +1256,6 @@ let runnable_th m (th : thread) =
     | Runnable | Blocked_lock _ | Blocked_join _ | Suspended -> false)
   | Suspended | Finished _ | Crashed _ -> false
 
-let runnable m tid = runnable_th m (thread m tid)
 let runnable_threads m = List.filter (runnable_th m) m.thread_list
 let runnable_tids m = List.map thread_id (runnable_threads m)
 

@@ -99,9 +99,6 @@ val call :
 type step_result = Stepped | Blocked | Not_runnable
 
 val status : t -> Value.tid -> status
-val runnable : t -> Value.tid -> bool
-(** Can this thread make progress right now (including a blocked thread
-    whose monitor/join target has become available)? *)
 
 val runnable_tids : t -> Value.tid list
 val live_tids : t -> Value.tid list
@@ -134,6 +131,8 @@ val step_th : t -> thread -> step_result
     [Crashed]; this counts as [Stepped]. *)
 
 val runnable_th : t -> thread -> bool
+(** Can this thread make progress right now (including a blocked thread
+    whose monitor/join target has become available)? *)
 
 val runnable_threads : t -> thread list
 (** Runnable threads in creation order; [runnable_tids] maps over it. *)
@@ -146,8 +145,6 @@ val top_frame_th : thread -> frame option
 
 val pending_call_th :
   t -> thread -> (Jir.Code.meth * Value.t option * Value.t list) option
-
-val peek_th : thread -> (Jir.Code.meth * int * Jir.Code.instr) option
 
 val peek : t -> Value.tid -> (Jir.Code.meth * int * Jir.Code.instr) option
 (** The instruction {!step_th} would execute next. *)

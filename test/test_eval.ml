@@ -128,6 +128,55 @@ let test_ablation () =
       Alcotest.(check bool) "bounded by tests" true
         (row.Eval.Evaluate.ab_with_context <= row.Eval.Evaluate.ab_tests))
 
+(* The per-test baselines [evaluate_test] shares across races give every
+   race the verdict of a standalone [Triage.triage] with the same seed.
+   A key names the same race as its report: candidate matching is
+   symmetric in the two sites. *)
+let test_shared_baselines_match_triage id () =
+  match Corpus.Registry.find id with
+  | None -> Alcotest.failf "no corpus entry %s" id
+  | Some e -> (
+    let opts = Eval.Evaluate.default_options in
+    let cu = Corpus.Registry.compiled_unit e in
+    match
+      Narada_core.Pipeline.analyze cu ~backend:opts.Eval.Evaluate.opt_backend
+        ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
+        ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
+        ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
+    with
+    | Error msg -> Alcotest.fail msg
+    | Ok an ->
+      let triaged = ref 0 in
+      List.iter
+        (fun t ->
+          let te = Eval.Evaluate.evaluate_test opts an t in
+          let instantiate = Narada_core.Pipeline.instantiator an t in
+          List.iter
+            (fun ro ->
+              if ro.Eval.Evaluate.ro_reproduced then begin
+                incr triaged;
+                let k = ro.Eval.Evaluate.ro_key in
+                let cand =
+                  {
+                    Detect.Racefuzzer.c_field = k.Detect.Race.k_field;
+                    c_sites = Some (k.Detect.Race.k_site1, k.Detect.Race.k_site2);
+                  }
+                in
+                let alone =
+                  Result.to_option
+                    (Detect.Triage.triage ~instantiate ~cand
+                       ~seed:opts.Eval.Evaluate.opt_seed ())
+                in
+                Alcotest.(check (option string))
+                  (Printf.sprintf "%s test %d" id t.Narada_core.Synth.st_id)
+                  (Option.map Detect.Triage.verdict_to_string alone)
+                  (Option.map Detect.Triage.verdict_to_string
+                     ro.Eval.Evaluate.ro_verdict)
+              end)
+            te.Eval.Evaluate.te_races)
+        an.Narada_core.Pipeline.an_tests;
+      Alcotest.(check bool) "some races triaged" true (!triaged > 0))
+
 let () =
   Alcotest.run "eval"
     [
@@ -143,6 +192,10 @@ let () =
           Alcotest.test_case "fig14 sums" `Quick test_fig14_distribution_sums;
           Alcotest.test_case "dedup" `Quick test_race_outcomes_deduped;
           Alcotest.test_case "deterministic" `Quick test_determinism;
+          Alcotest.test_case "C6 shared baselines = triage" `Quick
+            (test_shared_baselines_match_triage "C6");
+          Alcotest.test_case "C9 shared baselines = triage" `Quick
+            (test_shared_baselines_match_triage "C9");
         ] );
       ("tables", [ Alcotest.test_case "renderers" `Quick test_table_renderers ]);
       ( "corpus",

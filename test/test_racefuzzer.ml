@@ -159,17 +159,61 @@ let test_triage_read_of_constant_benign () =
   | Ok Triage.Harmful -> Alcotest.fail "reading an unchanged constant is benign"
   | Error e -> Alcotest.fail e
 
+(* A close/use race that null-crashes in one order only. *)
+let crash_src =
+  "class R { int[] buf; R() { this.buf = new int[2]; } int read() { return \
+   this.buf[0]; } void close() { this.buf = null; } }"
+
 let test_triage_crash_harmful () =
-  (* A close/use race that null-crashes in one order only. *)
-  let src =
-    "class R { int[] buf; R() { this.buf = new int[2]; } int read() { return \
-     this.buf[0]; } void close() { this.buf = null; } }"
-  in
-  let inst = instantiator_of src ~cls:"R" ~meths:[ "read"; "close" ] in
+  let inst = instantiator_of crash_src ~cls:"R" ~meths:[ "read"; "close" ] in
   match Triage.triage ~instantiate:inst ~cand:(cand "buf") () with
   | Ok Triage.Harmful -> ()
   | Ok Triage.Benign -> Alcotest.fail "close/read race crashes: harmful"
   | Error e -> Alcotest.fail e
+
+(* Replay cost of the split triage, read off the [triage/replays]
+   counter. *)
+let replays f =
+  let reg = Obs.Metrics.global () in
+  let before = Obs.Metrics.counter_value reg "triage/replays" in
+  let r = f () in
+  (r, Obs.Metrics.counter_value reg "triage/replays" - before)
+
+let baselines_of inst =
+  match replays (fun () -> Triage.baselines ~instantiate:inst ()) with
+  | Ok b, n ->
+    Alcotest.(check int) "baselines cost 2 replays" 2 n;
+    b
+  | Error e, _ -> Alcotest.fail e
+
+let check_verdict_cost ~meths ~expect ~cost () =
+  let inst = instantiator_of counter_src ~cls:"C" ~meths in
+  let b = baselines_of inst in
+  match replays (fun () -> Triage.verdict b ~instantiate:inst ~cand:(cand "count") ()) with
+  | Ok v, n ->
+    Alcotest.(check string) "verdict" (Triage.verdict_to_string expect)
+      (Triage.verdict_to_string v);
+    Alcotest.(check int) "verdict replays" cost n
+  | Error e, _ -> Alcotest.fail e
+
+(* The five triage programs above: [verdict] on shared baselines agrees
+   with [triage]. *)
+let test_verdict_matches_triage () =
+  List.iter
+    (fun (src, cls, meths, field) ->
+      let inst = instantiator_of src ~cls ~meths in
+      let b = baselines_of inst in
+      let name = String.concat "/" meths in
+      Alcotest.(check bool) name true
+        (Triage.verdict b ~instantiate:inst ~cand:(cand field) ()
+        = Triage.triage ~instantiate:inst ~cand:(cand field) ()))
+    [
+      (counter_src, "C", [ "inc"; "inc" ], "count");
+      (counter_src, "C", [ "reset"; "reset" ], "count");
+      (counter_src, "C", [ "inc"; "get" ], "count");
+      (counter_src, "C", [ "reset"; "get" ], "count");
+      (crash_src, "R", [ "read"; "close" ], "buf");
+    ]
 
 let () =
   Alcotest.run "racefuzzer"
@@ -200,5 +244,13 @@ let () =
           Alcotest.test_case "constant read benign" `Quick
             test_triage_read_of_constant_benign;
           Alcotest.test_case "crash harmful" `Quick test_triage_crash_harmful;
+          Alcotest.test_case "stale read: 0 replays" `Quick
+            (check_verdict_cost ~meths:[ "inc"; "get" ] ~expect:Triage.Harmful ~cost:0);
+          Alcotest.test_case "lost update: 1 replay" `Quick
+            (check_verdict_cost ~meths:[ "inc"; "inc" ] ~expect:Triage.Harmful ~cost:1);
+          Alcotest.test_case "const reset: 2 replays" `Quick
+            (check_verdict_cost ~meths:[ "reset"; "reset" ] ~expect:Triage.Benign ~cost:2);
+          Alcotest.test_case "verdict on shared baselines = triage" `Quick
+            test_verdict_matches_triage;
         ] );
     ]
