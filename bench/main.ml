@@ -4,16 +4,14 @@
      dune exec bench/main.exe                      # tables + timing
      dune exec bench/main.exe -- quick             # tables only
      dune exec bench/main.exe -- quick --jobs 4    # parallel campaign
-     dune exec bench/main.exe -- sweep             # jobs=1/2/4/8 scaling curve
      dune exec bench/main.exe -- par-smoke         # CI inversion guard
      dune exec bench/main.exe -- backend-bench     # interp vs compiled backend
      dune exec bench/main.exe -- static-bench      # summary-cache cold/warm/edit
      dune exec bench/main.exe -- static-bench --smoke   # CI-sized corpus
 
-   The campaign fans out over a domain pool (--jobs, default
+   The campaign fans out over domains with Par.map (--jobs, default
    Domain.recommended_domain_count); tables are bit-identical for every
-   job count.  Each run upserts its configuration's wall-clock into
-   BENCH_parallel.json so sequential-vs-parallel speedups are tracked.
+   job count.
 
    Artifacts regenerated:
    - Table 3 (benchmark information)
@@ -89,91 +87,7 @@ let regenerate_tables ~with_contege ~jobs =
   Printf.printf
     "full evaluation wall-clock: %.2fs (paper: 201.3s synthesis on a 3.5GHz \
      i7 against the real JVM classes)\n\n"
-    wall_s;
-  (evals, wall_s)
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_parallel.json: wall-clock of the full campaign per jobs        *)
-(* configuration, so the sequential-vs-parallel trajectory is tracked   *)
-(* across PRs.  The file is an upsert: each run records its own jobs    *)
-(* count and speedups are recomputed against the jobs=1 baseline.       *)
-(* ------------------------------------------------------------------ *)
-
-let bench_parallel_file = "BENCH_parallel.json"
-
-(* Parse back the configurations we wrote earlier; the gauge-line format
-   below is the only producer, so a minimal scan suffices (no JSON
-   dependency). *)
-let read_bench_parallel () : (int * float) list =
-  match open_in bench_parallel_file with
-  | exception Sys_error _ -> []
-  | ic ->
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let configs = ref [] in
-    String.split_on_char '\n' content
-    |> List.iter (fun line ->
-           match
-             Scanf.sscanf line
-               "{\"kind\": \"volatile\", \"type\": \"gauge\", \"name\": \
-                \"campaign/wall_s\", \"value\": %f, \"jobs\": %d"
-               (fun w j -> (j, w))
-           with
-           | cfg -> configs := cfg :: !configs
-           | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ());
-    List.rev !configs
-
-(* BENCH files share the observability export schema: one meta line,
-   then one gauge line per jobs configuration. *)
-let write_bench_parallel_configs new_configs =
-  let configs =
-    List.fold_left
-      (fun acc (j, w) -> (j, w) :: List.remove_assoc j acc)
-      (read_bench_parallel ()) new_configs
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  let baseline = List.assoc_opt 1 configs in
-  let oc = open_out bench_parallel_file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Obs.Export.meta_line
-           ~fields:
-             [
-               ( "benchmark",
-                 Obs.Export.json_str "parallel detection campaign, whole corpus"
-               );
-             ]
-           ());
-      output_char oc '\n';
-      List.iter
-        (fun (j, w) ->
-          let speedup =
-            match baseline with Some b when w > 0.0 -> b /. w | _ -> 1.0
-          in
-          output_string oc
-            (Obs.Export.gauge_line ~name:"campaign/wall_s" ~value:w
-               ~fields:
-                 [
-                   ("jobs", string_of_int j);
-                   ("speedup", Printf.sprintf "%.2f" speedup);
-                 ]
-               ());
-          output_char oc '\n')
-        configs);
-  List.iter
-    (fun (j, w) ->
-      Printf.printf "wrote %s (campaign wall-clock at jobs=%d: %.2fs)\n"
-        bench_parallel_file j w)
-    new_configs;
-  print_newline ()
-
-let write_bench_parallel ~jobs ~wall_s =
-  write_bench_parallel_configs [ (jobs, wall_s) ]
+    wall_s
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_static.json: the static race analyzer's cost profile.  Two     *)
@@ -592,43 +506,6 @@ let run_bechamel () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* sweep: time the full campaign at jobs=1/2/4/8 and record every       *)
-(* configuration in BENCH_parallel.json (plus BENCH_static.json) in one *)
-(* run, so the scaling curve is regenerated atomically.                 *)
-(* ------------------------------------------------------------------ *)
-
-let campaign_wall ~jobs =
-  let t0 = Obs.Clock.ticks () in
-  let evals = Eval.Evaluate.evaluate_corpus ~jobs Corpus.Registry.all in
-  List.iter
-    (fun ((e : Corpus.Corpus_def.entry), r) ->
-      match r with
-      | Ok _ -> ()
-      | Error msg ->
-        Printf.eprintf "bench: %s failed: %s\n" e.Corpus.Corpus_def.e_id msg)
-    evals;
-  Obs.Clock.elapsed_s ~since:t0
-
-let sweep () =
-  Printf.printf
-    "campaign sweep: full detection campaign at jobs=1/2/4/8 \
-     (max_domains=%d, effective width is clamped to it)\n%!"
-    (Par.max_domains ());
-  (* Warm the compile cache so the jobs=1 run is not charged for it. *)
-  Corpus.Registry.warm_all ();
-  let configs =
-    List.map
-      (fun j ->
-        (* best of two: one seconds-scale sample swings by 10-20% *)
-        let w = Float.min (campaign_wall ~jobs:j) (campaign_wall ~jobs:j) in
-        Printf.printf "  jobs=%d: %.2fs\n%!" j w;
-        (j, w))
-      [ 1; 2; 4; 8 ]
-  in
-  write_bench_parallel_configs configs;
-  static_bench ()
-
-(* ------------------------------------------------------------------ *)
 (* backend-bench: interpreter vs compiled closure backend on the        *)
 (* replay-heavy detection stages.  Candidate enumeration (observer-     *)
 (* attached, so the compiled fast path is inert there) is shared and    *)
@@ -887,13 +764,10 @@ let () =
   if has "par-smoke" then par_smoke ()
   else if has "static-bench" then static_bench ~smoke:(has "--smoke") ()
   else if has "backend-bench" then backend_bench ()
-  else if has "sweep" then sweep ()
   else begin
     let quick = has "quick" in
     let jobs = parse_jobs Sys.argv in
-    let evals, wall_s = regenerate_tables ~with_contege:true ~jobs in
-    ignore (evals : Eval.Evaluate.class_eval list);
-    write_bench_parallel ~jobs ~wall_s;
+    regenerate_tables ~with_contege:true ~jobs;
     static_bench ();
     scheduler_shootout ();
     if not quick then run_bechamel ()

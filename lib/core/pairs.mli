@@ -20,7 +20,6 @@ type endpoint = {
 
 type pair = { p_field : Jir.Ast.id; p_a : endpoint; p_b : endpoint }
 
-val endpoint_of : Access.acc -> endpoint option
 val pair_to_string : pair -> string
 
 val key_of : pair -> string * string * string

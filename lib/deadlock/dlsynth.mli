@@ -16,8 +16,6 @@ val instantiate :
   test ->
   (Detect.Racefuzzer.instance, string) result
 
-val directed_deadlock_scheduler : Runtime.Value.tid list -> Conc.Scheduler.t
-
 type confirmation = {
   co_deadlocked : bool;
   co_threads : Runtime.Value.tid list;

@@ -241,7 +241,7 @@ let directed_run ?on_postponed (m : Runtime.Machine.t) ~(cand : candidate)
 
 (* Try to confirm a candidate over several directed runs with different
    scheduler seeds.  Each run is an independent seeded VM execution, so
-   with [jobs > 1] all runs are fanned out over a domain pool and the
+   with [jobs > 1] all runs are fanned out with [Par.map] and the
    sequential early-exit answer is recovered by scanning the results in
    run order — the outcome is identical for every job count.
 
@@ -277,7 +277,7 @@ let confirm ~(instantiate : instantiator) ~(cand : candidate) ?(runs = 10)
       attempt 0;
       List.rev !acc
     end
-    else Par.mapi ~jobs (List.init runs Fun.id) (fun _ i -> attempt_once i)
+    else Par.map ~jobs (List.init runs Fun.id) attempt_once
   in
   let rec scan i = function
     | [] -> { confirmed = None; runs_used = runs; steps = 0 }

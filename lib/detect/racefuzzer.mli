@@ -47,7 +47,7 @@ val confirm :
   confirm_result
 (** Attempt to confirm the candidate over several directed runs with
     different scheduler seeds.  [jobs] (default 1) fans the independent
-    runs out over a domain pool; the result is identical to the
+    runs out over domains with {!Par.map}; the result is identical to the
     sequential early-exit scan for every job count. *)
 
 val directed_run :

@@ -110,7 +110,7 @@ let class_coverage ?(seed = 7L) ?(fuel = 200_000) ?(jobs = 1)
     | Ok an ->
       let tests = an.Narada_core.Pipeline.an_tests in
       let sets =
-        Par.mapi ~jobs tests (fun _ t ->
+        Par.map ~jobs tests (fun t ->
             Obs.Span.with_ ~root:true "cov/test" (fun () ->
                 test_coverage an t ~seed ~fuel))
       in

@@ -82,7 +82,7 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
   | Ok first ->
     (* Gather candidates over several schedules.  Every schedule is an
        independent seeded execution of a fresh instantiation, so with
-       [opt_jobs > 1] they run on a domain pool; merging the candidate
+       [opt_jobs > 1] they run on several domains; merging the candidate
        lists in schedule order keeps the table identical to the
        sequential scan for every job count. *)
     let tbl : (Detect.Race.key, Detect.Race.report) Hashtbl.t = Hashtbl.create 8 in
@@ -92,9 +92,9 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     in
     let schedule_seed i = Int64.add opts.opt_seed (Int64.of_int (i * 1299709)) in
     let per_schedule =
-      Par.mapi ~jobs:opts.opt_jobs
+      Par.map ~jobs:opts.opt_jobs
         (List.init opts.opt_schedules Fun.id)
-        (fun _ i ->
+        (fun i ->
           (* schedule 0 reuses the first instance; [schedule_seed 0] is
              the base seed *)
           match if i = 0 then Ok first else instantiate () with
@@ -226,7 +226,7 @@ let evaluate_class ?(opts = default_options) (e : Corpus.Corpus_def.entry) :
 
 (* The parallel campaign: analyses run sequentially (they are cheap and
    memoize compilation), then every (class, test) detection unit — the
-   dominant cost, and fully independent — fans out over one domain pool.
+   dominant cost, and fully independent — fans out in one [Par.map].
    The flat work list load-balances much better than class-granular
    parallelism (test counts per class differ by an order of magnitude),
    and merging per-test results back by input index makes the campaign

@@ -45,7 +45,7 @@ type options = {
   opt_jobs : int;
       (** fan-out width inside one test's detection: random schedules
           and directed confirmation runs are independent seeded VM
-          executions and run on a {!Par} domain pool when [> 1].
+          executions and run on several domains ({!Par.map}) when [> 1].
           Results are identical for every width. *)
   opt_static_filter : bool;
       (** intersect generated pairs with the static analyzer's
@@ -80,9 +80,6 @@ val evaluate_corpus :
     returned in input order and are bit-identical for every job count;
     [cl_detect_seconds] aggregates per-test detection time (total work,
     not wall-clock) so it remains meaningful under parallelism. *)
-
-val fig14_buckets : string list
-(** ["0"; "1"; "2"; "3-5"; "5-10"; ">10"] *)
 
 val fig14_distribution : class_eval -> (string * float) list
 (** Percentage of the class's tests per bucket of detected races. *)

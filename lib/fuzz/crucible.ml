@@ -2,7 +2,7 @@
 
    Determinism contract: per-program seeds come from Par.seed over the
    base seed and the program index, results are merged in index order
-   by Par.mapi, and the report deliberately contains nothing
+   by Par.map, and the report deliberately contains nothing
    environment-dependent — so the output is byte-identical across job
    counts and runs. *)
 
@@ -64,9 +64,7 @@ let shrink_violation opts (index, oracle, _detail) =
 let run (opts : options) : report =
   let opts = { opts with o_count = max 0 opts.o_count; o_jobs = max 1 opts.o_jobs } in
   let verdicts =
-    Par.mapi ~jobs:opts.o_jobs
-      (List.init opts.o_count Fun.id)
-      (fun _ index -> check_one opts index)
+    Par.map ~jobs:opts.o_jobs (List.init opts.o_count Fun.id) (check_one opts)
   in
   let pass =
     List.map
@@ -188,10 +186,7 @@ let run_guided ?(batch = 8) ?(plateau = 3) ?budget_s ?(corpus = Cov.Corpus.creat
       let specs =
         List.init n (fun j -> guided_spec_for opts ~ranked (base + j))
       in
-      let results =
-        if opts.o_jobs <= 1 then List.map check_spec specs
-        else Par.mapi ~jobs:opts.o_jobs specs (fun _ sp -> check_spec sp)
-      in
+      let results = Par.map ~jobs:opts.o_jobs specs check_spec in
       let round_gain = ref 0 in
       List.iter2
         (fun sp (verdicts, cov) ->

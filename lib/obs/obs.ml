@@ -10,7 +10,7 @@
      `"kind": "stable"` lines, sorted, and the whole stable section is
      byte-identical across `--jobs` values and across runs.
    - *volatile* metrics (gauges, span durations) carry wall-clock and
-     pool-scheduling facts.  They are emitted after the stable section
+     memory-pool facts.  They are emitted after the stable section
      and are exactly the lines a determinism check strips.
 
    Registries are mutex-protected and every combine operation is
@@ -220,9 +220,9 @@ module Span = struct
     mutable sp_open : bool;
   }
 
-  (* Per-domain span stack: spans nest within one domain and Par worker
+  (* Per-domain span stack: spans nest within one domain and Par helper
      domains start from an empty stack, so instrumentation that may run
-     under a pool uses [~root:true] to get job-count-independent paths. *)
+     under [Par.map] uses [~root:true] to get job-count-independent paths. *)
   let stack : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
   let current_path () =

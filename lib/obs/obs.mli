@@ -8,7 +8,7 @@
       seeds.  The exported stable section is byte-identical across
       [--jobs] values and across runs.
     - {e volatile} metrics (gauges, span durations) carry wall-clock
-      and pool-scheduling facts; a determinism check strips them.
+      and memory-pool facts; a determinism check strips them.
 
     Registries are thread-safe and every combine is commutative, so
     recording from [Par] worker domains merges deterministically. *)

@@ -1,28 +1,4 @@
-(* Sharded work-stealing domain pool + deterministic fan-out/merge.
-   See par.mli.
-
-   The previous pool was a single mutex/condvar task queue: every
-   submit and every pop crossed one lock, every future allocated its
-   own Mutex.t + Condition.t, and [map] created one future per list
-   element.  At jobs=4 the whole campaign convoyed on that lock (and,
-   worse, on stop-the-world minor GC once more domains were runnable
-   than cores — BENCH_parallel.json recorded a 0.26x "speedup").
-
-   This version shards the queue: one deque per worker, owner pops
-   LIFO from the back, idle workers steal FIFO from the front of a
-   victim chosen in seeded-random order.  [map]/[mapi] submit chunks
-   of indices (granularity heuristic: ~8 chunks per worker), write
-   results into a shared array slot per index, and synchronize on a
-   single completion latch per fan-out — no per-task future, no
-   per-future mutex.  Determinism is structural: result [i] is written
-   for input [i] regardless of which worker ran the chunk, so the
-   schedule of the workers is unobservable in the output.
-
-   The effective fan-out width of [map]/[mapi] is clamped to
-   {!max_domains} (default: the recommended domain count).  Running
-   more worker domains than cores is how the inversion happened in the
-   first place: OCaml's minor collections are stop-the-world across
-   all domains, and a descheduled domain stalls every collection. *)
+(* Deterministic fan-out over domains.  See par.mli. *)
 
 (* splitmix64 finalizer over base + (index+1) * golden gamma. *)
 let seed ~base ~index =
@@ -34,307 +10,49 @@ let seed ~base ~index =
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Fan-out width cap for [map]/[mapi].  Overridable for tests (which
-   want to exercise multi-domain merging even on small machines) and
-   via NARADA_PAR_MAX_DOMAINS for operational tuning. *)
 let max_domains_override = Atomic.make 0
 
 let max_domains () =
   match Atomic.get max_domains_override with
   | n when n > 0 -> n
-  | _ -> (
-    match Option.bind (Sys.getenv_opt "NARADA_PAR_MAX_DOMAINS") int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> Domain.recommended_domain_count ())
+  | _ -> Domain.recommended_domain_count ()
 
 let set_max_domains n = Atomic.set max_domains_override (max 1 n)
 
-module Pool = struct
-  (* Every task is one chunk of a [mapi] fan-out. *)
-  type task = unit -> unit
-
-  let dummy_task : task = ignore
-
-  (* A growable ring deque; all operations run under the owning shard's
-     lock, which is uncontended unless a thief is probing this shard. *)
-  module Ring = struct
-    type t = { mutable buf : task array; mutable head : int; mutable len : int }
-
-    let create () = { buf = Array.make 16 dummy_task; head = 0; len = 0 }
-
-    let grow r =
-      let cap = Array.length r.buf in
-      let buf = Array.make (2 * cap) dummy_task in
-      for i = 0 to r.len - 1 do
-        buf.(i) <- r.buf.((r.head + i) mod cap)
-      done;
-      r.buf <- buf;
-      r.head <- 0
-
-    let push_back r t =
-      if r.len = Array.length r.buf then grow r;
-      r.buf.((r.head + r.len) mod Array.length r.buf) <- t;
-      r.len <- r.len + 1
-
-    let pop_back r =
-      if r.len = 0 then None
-      else begin
-        let i = (r.head + r.len - 1) mod Array.length r.buf in
-        let t = r.buf.(i) in
-        r.buf.(i) <- dummy_task;
-        r.len <- r.len - 1;
-        Some t
-      end
-
-    let pop_front r =
-      if r.len = 0 then None
-      else begin
-        let t = r.buf.(r.head) in
-        r.buf.(r.head) <- dummy_task;
-        r.head <- (r.head + 1) mod Array.length r.buf;
-        r.len <- r.len - 1;
-        Some t
-      end
-  end
-
-  type shard = { sh_mu : Mutex.t; sh_ring : Ring.t }
-
-  type t = {
-    jobs : int;
-    shards : shard array; (* one per worker *)
-    mu : Mutex.t; (* sleep/wake + lifecycle *)
-    wake : Condition.t;
-    mutable stop : bool;
-    pending : int Atomic.t; (* tasks enqueued and not yet taken *)
-    mutable workers : unit Domain.t list;
-    (* Scheduling facts (queue high-water mark, steals, per-worker chunk
-       counts, idle time).  Inherently job-count dependent, so they are
-       flushed as *volatile* gauges at shutdown. *)
-    mutable qdepth_hwm : int;
-    steals : int Atomic.t;
-    worker_chunks : int array;
-    worker_idle_ns : int64 array;
-  }
-
-  (* Seeded-random victim order: reproducible steal schedules given the
-     worker index, independent of wall clock. *)
-  let victim_rng i =
-    let state = ref (seed ~base:0x4E41524144415L ~index:i) in
-    fun bound ->
-      state := Int64.add !state 0x9E3779B97F4A7C15L;
-      let z = !state in
-      let z = Int64.(mul (logxor z (shift_right_logical z 33)) 0xFF51AFD7ED558CCDL) in
-      Int64.to_int z land max_int mod bound
-
-  let pop_own p i =
-    let sh = p.shards.(i) in
-    Mutex.lock sh.sh_mu;
-    let t = Ring.pop_back sh.sh_ring in
-    Mutex.unlock sh.sh_mu;
-    t
-
-  let steal_from p v =
-    let sh = p.shards.(v) in
-    Mutex.lock sh.sh_mu;
-    let t = Ring.pop_front sh.sh_ring in
-    Mutex.unlock sh.sh_mu;
-    t
-
-  (* One full acquisition attempt for worker [i]: own deque first, then
-     every victim once, starting from a random rotation. *)
-  let try_take p i rng =
-    match pop_own p i with
-    | Some t -> Some t
-    | None ->
-      if p.jobs <= 1 then None
-      else begin
-        let start = rng (p.jobs - 1) in
-        let found = ref None in
-        let k = ref 0 in
-        while !found = None && !k < p.jobs - 1 do
-          let v = (i + 1 + ((start + !k) mod (p.jobs - 1))) mod p.jobs in
-          (match steal_from p v with
-          | Some t ->
-            Atomic.incr p.steals;
-            found := Some t
-          | None -> ());
-          incr k
-        done;
-        !found
-      end
-
-  let rec worker p i rng =
-    match try_take p i rng with
-    | Some t ->
-      Atomic.decr p.pending;
-      p.worker_chunks.(i) <- p.worker_chunks.(i) + 1;
-      t ();
-      worker p i rng
-    | None ->
-      Mutex.lock p.mu;
-      if Atomic.get p.pending > 0 then begin
-        (* Work appeared between the failed sweep and the lock. *)
-        Mutex.unlock p.mu;
-        worker p i rng
-      end
-      else if p.stop then Mutex.unlock p.mu
-      else begin
-        let wait0 = Obs.Clock.ticks () in
-        Condition.wait p.wake p.mu;
-        p.worker_idle_ns.(i) <-
-          Int64.add p.worker_idle_ns.(i) (Obs.Clock.elapsed_ns ~since:wait0);
-        Mutex.unlock p.mu;
-        worker p i rng
-      end
-
-  let create ~jobs =
-    let jobs = max 1 jobs in
-    let p =
-      {
-        jobs;
-        shards =
-          Array.init jobs (fun _ ->
-              { sh_mu = Mutex.create (); sh_ring = Ring.create () });
-        mu = Mutex.create ();
-        wake = Condition.create ();
-        stop = false;
-        pending = Atomic.make 0;
-        workers = [];
-        qdepth_hwm = 0;
-        steals = Atomic.make 0;
-        worker_chunks = Array.make jobs 0;
-        worker_idle_ns = Array.make jobs 0L;
-      }
-    in
-    p.workers <-
-      List.init jobs (fun i -> Domain.spawn (fun () -> worker p i (victim_rng i)));
-    p
-
-  (* Batched submission for [mapi]: distribute all chunks round-robin
-     across the shards, then wake every worker once. *)
-  let submit_chunks p fs =
-    Mutex.lock p.mu;
-    List.iteri
-      (fun k f ->
-        let shard = p.shards.(k mod p.jobs) in
-        Mutex.lock shard.sh_mu;
-        Ring.push_back shard.sh_ring f;
-        Mutex.unlock shard.sh_mu)
-      fs;
-    let n = List.length fs in
-    let d = Atomic.fetch_and_add p.pending n + n in
-    if d > p.qdepth_hwm then p.qdepth_hwm <- d;
-    Condition.broadcast p.wake;
-    Mutex.unlock p.mu
-
-  let shutdown p =
-    Mutex.lock p.mu;
-    p.stop <- true;
-    Condition.broadcast p.wake;
-    Mutex.unlock p.mu;
-    List.iter Domain.join p.workers;
-    let reg = Obs.Metrics.global () in
-    Obs.Metrics.gauge_max reg "par/pool/queue_depth_hwm"
-      (float_of_int p.qdepth_hwm);
-    Obs.Metrics.gauge_add reg "par/pool/steals"
-      (float_of_int (Atomic.get p.steals));
-    Obs.Metrics.gauge_add reg "par/pool/chunks"
-      (float_of_int (Array.fold_left ( + ) 0 p.worker_chunks));
-    Array.iteri
-      (fun i n ->
-        Obs.Metrics.gauge_add reg
-          (Printf.sprintf "par/pool/worker%d/chunks" i)
-          (float_of_int n))
-      p.worker_chunks;
-    Array.iteri
-      (fun i ns ->
-        Obs.Metrics.gauge_add reg
-          (Printf.sprintf "par/pool/worker%d/idle_s" i)
-          (Int64.to_float ns /. 1e9))
-      p.worker_idle_ns
-end
-
-(* One completion latch per fan-out: the caller sleeps until every
-   chunk has arrived; task failures record the smallest failing input
-   index so the raised exception is job-count independent. *)
-module Latch = struct
-  type t = {
-    l_mu : Mutex.t;
-    l_done : Condition.t;
-    mutable l_remaining : int;
-    mutable l_fail : (int * exn) option;
-  }
-
-  let create n =
-    { l_mu = Mutex.create (); l_done = Condition.create (); l_remaining = n; l_fail = None }
-
-  let arrive l =
-    Mutex.lock l.l_mu;
-    l.l_remaining <- l.l_remaining - 1;
-    if l.l_remaining = 0 then Condition.broadcast l.l_done;
-    Mutex.unlock l.l_mu
-
-  let record_failure l ~index e =
-    Mutex.lock l.l_mu;
-    (match l.l_fail with
-    | Some (j, _) when j <= index -> ()
-    | Some _ | None -> l.l_fail <- Some (index, e));
-    Mutex.unlock l.l_mu
-
-  let await l =
-    Mutex.lock l.l_mu;
-    while l.l_remaining > 0 do
-      Condition.wait l.l_done l.l_mu
-    done;
-    Mutex.unlock l.l_mu
-
-  let failure l =
-    Mutex.lock l.l_mu;
-    let f = l.l_fail in
-    Mutex.unlock l.l_mu;
-    f
-end
-
-let mapi ?jobs ?chunk xs f =
+let map ?jobs xs f =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let width = min jobs (max_domains ()) in
   let n = List.length xs in
-  if width <= 1 || n <= 1 then List.mapi f xs
+  let width = min (min jobs (max_domains ())) n in
+  if width <= 1 then List.map f xs
   else begin
-    let width = min width n in
     let input = Array.of_list xs in
     let out = Array.make n None in
-    (* Granularity heuristic: ~8 chunks per worker, so stealing can
-       rebalance an uneven tail without per-element task overhead. *)
-    let chunk_size =
-      match chunk with Some c -> max 1 c | None -> max 1 (n / (8 * width))
+    let next = Atomic.make 0 in
+    let failed = Atomic.make false in
+    (* Claims are monotonic, so when index [i] fails every smaller index
+       has already been claimed and will still run to completion. *)
+    let rec work () =
+      if not (Atomic.get failed) then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          (out.(i) <-
+             (match f input.(i) with
+             | y -> Some (Ok y)
+             | exception e ->
+               Atomic.set failed true;
+               Some (Error e)));
+          work ()
+        end
+      end
     in
-    let nchunks = (n + chunk_size - 1) / chunk_size in
-    let latch = Latch.create nchunks in
-    let chunk_body ci () =
-      let lo = ci * chunk_size in
-      let hi = min n (lo + chunk_size) in
-      let i = ref lo in
-      (try
-         while !i < hi do
-           out.(!i) <- Some (f !i input.(!i));
-           incr i
-         done
-       with e -> Latch.record_failure latch ~index:!i e);
-      Latch.arrive latch
-    in
-    let p = Pool.create ~jobs:width in
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown p)
-      (fun () ->
-        Pool.submit_chunks p (List.init nchunks chunk_body);
-        (* The caller blocks on the latch rather than competing for
-           chunks: the [width] workers saturate the width budget and a
-           sleeping domain does not stall minor collections. *)
-        Latch.await latch);
-    match Latch.failure latch with
-    | Some (_, e) -> raise e
-    | None -> Array.to_list (Array.map Option.get out)
+    let helpers = List.init (width - 1) (fun _ -> Domain.spawn work) in
+    work ();
+    List.iter Domain.join helpers;
+    (* In index order: the first [Error] is the smallest failing index,
+       and no unclaimed slot precedes it. *)
+    Array.to_list out
+    |> List.map (function
+         | Some (Ok y) -> y
+         | Some (Error e) -> raise e
+         | None -> assert false)
   end
-
-let map ?jobs ?chunk xs f = mapi ?jobs ?chunk xs (fun _ x -> f x)

@@ -106,8 +106,4 @@ val constructive : race_repair -> bool
     constructively confirmed real — the repairability signal Triage-level
     reports cite. *)
 
-val diff_of : subject -> Jir.Ast.program -> string
-(** Unified diff between the subject's pretty-printed program and a
-    patched program. *)
-
 val report_to_string : ?show_attempts:bool -> subject -> report -> string

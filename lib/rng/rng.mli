@@ -31,11 +31,6 @@ val bool : t -> bool
 val range : t -> int -> int -> int
 (** [range t lo hi] draws uniformly from the inclusive range [lo, hi]. *)
 
-val next_state : int64 -> int64 * int64
-(** Pure stream step over a bare state: [(output, next_state)].  For
-    callers that store the RNG state inline (the VM keeps one [int64]
-    per thread). *)
-
 val below_state : int64 -> int -> int * int64
 (** Pure unbiased bounded draw: [(value, next_state)].  May advance the
     state more than once (rejection sampling).

@@ -9,8 +9,6 @@ type finding = {
   f_msg : string;
 }
 
-val compare_finding : finding -> finding -> int
-
 val to_string : finding -> string
 (** ["span: severity: message"]. *)
 
@@ -21,8 +19,6 @@ val run : ?file:string -> Analyze.t -> Jir.Code.unit_ -> finding list
 (** The rendered per-unit output of [narada lint]: findings then a
     one-line footer, plus the severity totals (for [--strict]). *)
 type block = { bl_text : string; bl_errors : int; bl_warnings : int }
-
-val render_block : label:string -> finding list -> block
 
 val block :
   ?cache:Cache.t ->

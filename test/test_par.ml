@@ -1,10 +1,10 @@
-(* Par subsystem tests: pool/futures, the deterministic fan-out/merge
-   combinator, per-index seed derivation, the chunked trace recorder,
-   and cross-job-count determinism of the evaluation campaign. *)
+(* Par subsystem tests: the deterministic fan-out/merge combinator,
+   per-index seed derivation, the chunked trace recorder, and
+   cross-job-count determinism of the evaluation campaign. *)
 
 (* Force real multi-domain execution even on single-core hosts: the
    core-count clamp would otherwise route every map through the
-   sequential path and leave the pool untested. *)
+   sequential path and leave the fan-out untested. *)
 let () = Par.set_max_domains 8
 
 let test_map_matches_sequential () =
@@ -17,13 +17,6 @@ let test_map_matches_sequential () =
     "jobs:1 = List.map" (List.map f xs)
     (Par.map ~jobs:1 xs f)
 
-let test_mapi_passes_indices () =
-  let xs = [ "a"; "b"; "c"; "d"; "e"; "f"; "g" ] in
-  let expected = List.mapi (fun i s -> Printf.sprintf "%d:%s" i s) xs in
-  Alcotest.(check (list string))
-    "indices in input order" expected
-    (Par.mapi ~jobs:3 xs (fun i s -> Printf.sprintf "%d:%s" i s))
-
 let test_map_deterministic_failure () =
   (* The smallest failing index's exception must surface regardless of
      which worker finishes first. *)
@@ -35,39 +28,63 @@ let test_map_deterministic_failure () =
     | exception Failure msg -> Alcotest.(check string) "first failing index" "1" msg
   done
 
-let test_mapi_deterministic_across_widths () =
-  let xs = List.init 1000 (fun i -> (i * 17) mod 101) in
-  let f i x = (i * 31) lxor (x * x) in
-  let expected = List.mapi f xs in
+let test_deterministic_across_widths () =
+  let xs = List.init 1000 (fun i -> (i, (i * 17) mod 101)) in
+  let f (i, x) = (i * 31) lxor (x * x) in
+  let expected = List.map f xs in
   List.iter
     (fun jobs ->
       Alcotest.(check (list int))
-        (Printf.sprintf "jobs=%d = List.mapi" jobs)
-        expected (Par.mapi ~jobs xs f))
-    [ 1; 2; 4; 8 ];
-  (* Explicit granularity, from one-element chunks to one chunk. *)
-  Alcotest.(check (list int)) "chunk=1" expected (Par.mapi ~jobs:4 ~chunk:1 xs f);
-  Alcotest.(check (list int)) "chunk>n" expected (Par.mapi ~jobs:4 ~chunk:5000 xs f)
+        (Printf.sprintf "jobs=%d = List.map" jobs)
+        expected (Par.map ~jobs xs f))
+    [ 1; 2; 4; 8 ]
 
-let test_smallest_failing_index_chunked () =
-  (* Every index >= 37 fails; whichever chunks finish first, the
+let test_smallest_failing_index () =
+  (* Every index >= 37 fails; whichever domain fails first, the
      surfaced exception must be index 37's. *)
   let xs = List.init 100 Fun.id in
   let f i = if i >= 37 then failwith (string_of_int i) else i in
   List.iter
-    (fun (jobs, chunk) ->
-      match Par.map ~jobs ?chunk xs f with
+    (fun jobs ->
+      match Par.map ~jobs xs f with
       | _ -> Alcotest.fail "expected a failure"
       | exception Failure msg ->
-        Alcotest.(check string)
-          (Printf.sprintf "jobs=%d chunk=%s" jobs
-             (match chunk with Some c -> string_of_int c | None -> "auto"))
-          "37" msg)
-    [ (2, None); (4, None); (4, Some 1); (8, Some 5) ]
+        Alcotest.(check string) (Printf.sprintf "jobs=%d" jobs) "37" msg)
+    [ 2; 4; 8 ]
+
+let test_slow_smaller_failure_wins () =
+  (* Index 6 fails at once while index 1 is still running; the later,
+     smaller failure must still be the one re-raised. *)
+  let xs = List.init 10 Fun.id in
+  let f i =
+    if i = 1 then begin
+      let t0 = Obs.Clock.ticks () in
+      while Obs.Clock.elapsed_s ~since:t0 < 0.02 do
+        Domain.cpu_relax ()
+      done;
+      failwith "1"
+    end
+    else if i = 6 then failwith "6"
+    else i
+  in
+  match Par.map ~jobs:4 xs f with
+  | _ -> Alcotest.fail "expected a failure"
+  | exception Failure msg -> Alcotest.(check string) "smallest index" "1" msg
+
+let test_each_element_once () =
+  let n = 500 in
+  List.iter
+    (fun jobs ->
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      ignore (Par.map ~jobs (List.init n Fun.id) (fun i -> Atomic.incr hits.(i)));
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d: one hit per index" jobs)
+        (List.init n (fun _ -> 1))
+        (Array.to_list (Array.map Atomic.get hits)))
+    [ 2; 4; 8 ]
 
 let test_stress_tiny_tasks () =
-  (* 10k near-empty tasks: dominated by scheduler overhead, so this is
-     the hot path for chunk batching and deque contention. *)
+  (* 10k near-empty tasks: dominated by index-claiming overhead. *)
   let n = 10_000 in
   let xs = List.init n Fun.id in
   let got = Par.map ~jobs:4 xs (fun x -> x + 1) in
@@ -203,20 +220,19 @@ let () =
       ( "map",
         [
           Alcotest.test_case "matches sequential" `Quick test_map_matches_sequential;
-          Alcotest.test_case "mapi indices" `Quick test_mapi_passes_indices;
           Alcotest.test_case "deterministic failure" `Quick test_map_deterministic_failure;
           Alcotest.test_case "widths 1/2/4/8 identical" `Quick
-            test_mapi_deterministic_across_widths;
-          Alcotest.test_case "smallest failing index, chunked" `Quick
-            test_smallest_failing_index_chunked;
+            test_deterministic_across_widths;
+          Alcotest.test_case "smallest failing index" `Quick
+            test_smallest_failing_index;
+          Alcotest.test_case "slow smaller failure wins" `Quick
+            test_slow_smaller_failure_wins;
+          Alcotest.test_case "each element once" `Quick test_each_element_once;
           Alcotest.test_case "10k tiny tasks" `Quick test_stress_tiny_tasks;
           Alcotest.test_case "empty and singleton" `Quick test_edge_empty_singleton;
           Alcotest.test_case "max_domains clamp" `Quick test_max_domains_clamp;
         ] );
-      ( "pool",
-        [
-          Alcotest.test_case "seed derivation" `Quick test_seed_derivation;
-        ] );
+      ("seed", [ Alcotest.test_case "derivation" `Quick test_seed_derivation ]);
       ( "trace-recorder",
         [
           Alcotest.test_case "empty" `Quick test_recorder_empty;
