@@ -64,9 +64,10 @@ let install (t : t) (m : Runtime.Machine.t) =
   | Interp_b -> ()
   | Compiled_b code ->
     Runtime.Machine.Compiled.install m code;
-    (* Install counts depend on how far a confirmation loop ran before
-       early exit, which the parallel path does not replicate — a
-       volatile gauge, never a counter. *)
+    (* Installs count machines built from scratch (forks inherit their
+       template's code), an implementation detail of how a stage gets
+       its machines rather than work the campaign does — a volatile
+       gauge, never a counter. *)
     Obs.Metrics.gauge_add (Obs.Metrics.global ()) "backend/installs" 1.0
 
 let on_machine (t : t) : Runtime.Machine.t -> unit = install t

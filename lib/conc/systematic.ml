@@ -2,13 +2,13 @@
    preemption bounding (Musuvathi & Qadeer, PLDI'07 — [13] in the
    paper).
 
-   The machine cannot snapshot state, so exploration is by *replay*:
-   each execution follows a prescribed decision prefix and then a
+   Exploration is stateless, by *replay* from the initial state: each
+   execution follows a prescribed decision prefix and then a
    deterministic non-preemptive default (keep running the current thread
    while it can).  Every scheduling point past the prefix contributes
    the untaken alternatives as new prefixes, pruned by the preemption
-   bound; the instantiator rebuilds an identical initial state for every
-   replay. *)
+   bound; the instantiator returns an identical initial state (a fork of
+   one template) for every replay. *)
 
 type config = {
   sc_max_steps : int; (* per execution *)

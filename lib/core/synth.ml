@@ -358,9 +358,16 @@ let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
       ri_roots = roots;
     }
 
+(* collectObjects and shareObjects are per-test set-up, not per-run
+   work: build the instance once and hand out forks of it.  Templates
+   built is a stable count (one per instantiator ever called, whatever
+   the job count); forks are not, as a parallel confirm runs past its
+   logical prefix. *)
 let instantiator ?seed ?apply_context ?backend cu ~client_classes (t : test) :
     Detect.Racefuzzer.instantiator =
- fun () -> instantiate ?seed ?apply_context ?backend cu ~client_classes t
+  Detect.Racefuzzer.forking (fun () ->
+      Obs.Metrics.incr (Obs.Metrics.global ()) "synth/instantiations";
+      instantiate ?seed ?apply_context ?backend cu ~client_classes t)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

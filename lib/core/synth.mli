@@ -48,7 +48,11 @@ val instantiator :
   client_classes:Jir.Ast.id list ->
   test ->
   Detect.Racefuzzer.instantiator
-(** Deterministic: every call rebuilds an identical initial state. *)
+(** Instantiate once, fork many: the first call runs {!instantiate}
+    and counts it in the stable counter [synth/instantiations]; every
+    call, the first included, returns a fork of that template (or its
+    cached [Error]).  Deterministic by construction and safe to call
+    from several domains (see {!Detect.Racefuzzer.forking}). *)
 
 val to_source : test -> string
 (** Render the test as readable Jir-like pseudocode (the paper's

@@ -146,11 +146,15 @@ type confirmation = {
   co_schedule : string; (* which scheduler confirmed *)
 }
 
-(* Confirm by directed scheduling, falling back to random schedules. *)
+(* Confirm by directed scheduling, falling back to random schedules.
+   The test is instantiated once; each schedule runs on a fork. *)
 let confirm ?(seed = Runtime.Machine.default_seed) ?(random_tries = 10) (cu : Jir.Code.unit_)
     ~client_classes (t : test) : (confirmation, string) result =
+  let instantiate =
+    Detect.Racefuzzer.forking (fun () -> instantiate ~seed cu ~client_classes t)
+  in
   let try_sched name sched =
-    match instantiate ~seed cu ~client_classes t with
+    match instantiate () with
     | Error e -> Error e
     | Ok inst -> (
       let r = Conc.Exec.run inst.Detect.Racefuzzer.ri_machine (sched inst) in

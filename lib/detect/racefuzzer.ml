@@ -17,6 +17,27 @@ type instance = {
 
 type instantiator = unit -> (instance, string) result
 
+(* The set-up is built once, under a mutex so a first call from a Par
+   worker is safe; every call, the first included, gets a fork, so the
+   template itself is never stepped and concurrent forks only read it.
+   An [Error] is cached like a success. *)
+let forking (build : unit -> (instance, string) result) : instantiator =
+  let mu = Mutex.create () in
+  let template = ref None in
+  fun () ->
+    let t =
+      Mutex.protect mu (fun () ->
+          match !template with
+          | Some t -> t
+          | None ->
+            let t = build () in
+            template := Some t;
+            t)
+    in
+    Result.map
+      (fun inst -> { inst with ri_machine = Runtime.Machine.fork inst.ri_machine })
+      t
+
 (* What to look for: the field name, optionally narrowed to two sites. *)
 type candidate = {
   c_field : Jir.Ast.id;

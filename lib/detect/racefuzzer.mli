@@ -15,8 +15,16 @@ type instance = {
 }
 
 type instantiator = unit -> (instance, string) result
-(** Rebuilds an identical initial state on every call (the synthesizer
-    provides these). *)
+(** Returns an identical, independent initial state on every call.  The
+    synthesizer's instantiators are built with {!forking}, so this holds
+    by construction: every call is a fork of one template. *)
+
+val forking : (unit -> (instance, string) result) -> instantiator
+(** [forking build] runs [build] once, on the first call, and answers
+    every call (the first included) with a {!Runtime.Machine.fork} of
+    that template; an [Error] is cached and returned as is.  The build
+    is serialized by a mutex and the template is never stepped, so the
+    instantiator may be called from several domains at once. *)
 
 (** What to look for: a field name, optionally narrowed to two sites. *)
 type candidate = {

@@ -112,7 +112,7 @@ let equal_outcome (a : outcome) (b : outcome) =
   && List.equal String.equal a.o_crashes b.o_crashes
   && List.equal String.equal a.o_returns b.o_returns
 
-(* One replay on a fresh instantiation, counted. *)
+(* One replay on its own instance, counted. *)
 let with_instance (instantiate : Racefuzzer.instantiator) k =
   match instantiate () with
   | Error e -> Error e
@@ -141,8 +141,9 @@ let baselines ~(instantiate : Racefuzzer.instantiator) ?(fuel = 200_000) () :
 
 (* Harmful iff B;A, forced-first or forced-second differs from A;B;
    the comparisons run in that order and stop at the first difference.
-   [instantiate] must be deterministic: each call rebuilds an identical
-   initial state. *)
+   [instantiate] must be deterministic: each call returns an identical,
+   independent initial state (a fork of one template, for the
+   synthesizer's instantiators). *)
 let verdict (b : baselines) ~(instantiate : Racefuzzer.instantiator)
     ~(cand : Racefuzzer.candidate) ?(seed = 7L) ?(fuel = 200_000) () :
     (verdict, string) result =

@@ -12,8 +12,10 @@
     order-sensitive even when the final heap agrees) ⇒ harmful.
 
     Every function here takes an [instantiate] that must be
-    deterministic: each call rebuilds an identical initial state, so
-    outcomes of separate replays are comparable.  A replay whose
+    deterministic: each call returns an identical, independent initial
+    state, so outcomes of separate replays are comparable.  The
+    synthesizer's instantiators hold this by construction — every call
+    is a fork of one template ({!Racefuzzer.forking}).  A replay whose
     instantiation fails makes the result [Error].
 
     Cost: the serializations depend only on the test, so a caller

@@ -81,7 +81,7 @@ and evaluate_test_body (opts : options) (an : Narada_core.Pipeline.analysis)
     { te_test = t; te_instantiated = false; te_races = [] }
   | Ok first ->
     (* Gather candidates over several schedules.  Every schedule is an
-       independent seeded execution of a fresh instantiation, so with
+       independent seeded execution of its own fork of the test, so with
        [opt_jobs > 1] they run on several domains; merging the candidate
        lists in schedule order keeps the table identical to the
        sequential scan for every job count. *)

@@ -57,8 +57,10 @@ val check :
       bound for the analyzer;
     - ["synthesis-replay"]: the Narada pipeline runs on the sequential
       seed test, and every synthesized test instantiates and replays
-      deterministically (two instantiations behave identically under
-      the same directed-scheduler seed);
+      deterministically (two calls of its instantiator — two forks of
+      one template — behave identically under the same scheduler seed;
+      that a fork runs as a fresh instantiation does is checked by the
+      unit tests over C1–C9 and generated programs);
     - ["backend-diff"]: the compiled closure backend is observationally
       identical to the interpreter — same outcome, steps, crashes,
       output and final event-label count on an observer-free run, and

@@ -2,8 +2,8 @@
    per-class pseudo-objects holding static fields, and the reentrant
    monitor attached to every heap cell.
 
-   Representation, sized for the replay-heavy stages that allocate a
-   fresh heap per run and then hammer it with field accesses:
+   Representation, sized for the replay-heavy stages that copy a
+   template heap per run and then hammer it with field accesses:
 
    - addresses are dense (1, 2, 3, ... with no holes), so the cell
      store is a growable array indexed by [addr - 1] rather than a hash
@@ -138,6 +138,33 @@ let alloc_classobj t ~cls ~(field_tys : (Jir.Ast.id * Jir.Ast.ty) list) =
   let layout = layout_for t.cls_layouts cls field_tys in
   push_cell t (Kclassobj { cls; layout; fields = Array.copy layout.l_defaults })
 
+(* Every cell, payload and monitor is fresh; the layout records are the
+   same ones (they are immutable), so the interning tables are copied
+   but not their values, and a layout-keyed field cache filled on [t]
+   keeps hitting on the copy.  Only reads [t]. *)
+let copy t =
+  let copy_cell c =
+    let kind =
+      match c.kind with
+      | Kobject { cls; layout; fields } ->
+        Kobject { cls; layout; fields = Array.copy fields }
+      | Karray { elt; data } -> Karray { elt; data = Array.copy data }
+      | Kclassobj { cls; layout; fields } ->
+        Kclassobj { cls; layout; fields = Array.copy fields }
+    in
+    { addr = c.addr; kind; monitor = { owner = c.monitor.owner; depth = c.monitor.depth } }
+  in
+  let cells = Array.make (Array.length t.cells) dummy_cell in
+  for i = 0 to t.next - 2 do
+    cells.(i) <- copy_cell t.cells.(i)
+  done;
+  {
+    next = t.next;
+    cells;
+    obj_layouts = Hashtbl.copy t.obj_layouts;
+    cls_layouts = Hashtbl.copy t.cls_layouts;
+  }
+
 let class_of t addr =
   match (cell t addr).kind with
   | Kobject { cls; _ } | Kclassobj { cls; _ } -> Some cls
@@ -165,11 +192,12 @@ let set_field t addr f v =
 (* Per-access-site inline cache for the compiled backend: one resolved
    (layout, slot) pair behind a physical-equality check on the layout.
    Compiled code (and therefore its caches) is shared across machines
-   and domains; layouts are interned per heap, so a cache cell refilled
-   by one machine misses on another.  A racing refill is benign — the
-   cell holds an immutable pair read once — and within one machine (the
-   replay-hot case: a fresh machine per run hammered by one loop) every
-   access after the first is a pointer compare and an array read. *)
+   and domains; layouts are interned per heap and shared by its copies,
+   so a cache cell refilled on one machine keeps hitting on every fork
+   of the same template and misses only on unrelated machines.  A
+   racing refill is benign — the cell holds an immutable pair read
+   once — and on the replay-hot path (forks of one template hammered by
+   one loop) an access is a pointer compare and an array read. *)
 type field_cache = (layout * int) option ref
 
 let new_field_cache () : field_cache = ref None

@@ -46,6 +46,12 @@ val alloc_array : t -> elt:Jir.Ast.ty -> len:int -> Value.addr
 val alloc_classobj :
   t -> cls:Jir.Ast.id -> field_tys:(Jir.Ast.id * Jir.Ast.ty) list -> Value.addr
 
+val copy : t -> t
+(** A deep copy: fresh cells, field and array payloads, and monitors.
+    Layout records are shared (they are immutable), so field caches
+    filled on one heap keep hitting on its copies.  Reads its argument
+    only, so several domains may copy one heap that nobody mutates. *)
+
 val class_of : t -> Value.addr -> Jir.Ast.id option
 (** [None] for arrays. *)
 

@@ -1406,6 +1406,27 @@ let create ?(client_classes = []) ?(seed = default_seed) (cu : Code.unit_) : t =
     (Program.classes cu.Code.cu_program);
   m
 
+(* Deep-copy the mutable state; the unit and the engine are immutable
+   and stay shared, and observers are dropped.  Only reads [m]. *)
+let fork m =
+  let copy_frame (f : frame) = { f with regs = Array.copy f.regs } in
+  let copy_thread (th : thread) = { th with stack = List.map copy_frame th.stack } in
+  let thread_list = List.map copy_thread m.thread_list in
+  let threads = Hashtbl.create (Hashtbl.length m.threads) in
+  List.iter (fun th -> Hashtbl.replace threads th.tid th) thread_list;
+  let out = Buffer.create (max 256 (Buffer.length m.out)) in
+  Buffer.add_buffer out m.out;
+  {
+    m with
+    heap = Heap.copy m.heap;
+    class_objs = Hashtbl.copy m.class_objs;
+    threads;
+    thread_list;
+    observers = [];
+    client_classes = Hashtbl.copy m.client_classes;
+    out;
+  }
+
 let add_observer m f = m.observers <- m.observers @ [ f ]
 
 let new_thread m ?(client = true) ~(cm : Code.meth) ~recv ~args () =

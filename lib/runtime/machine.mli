@@ -72,6 +72,23 @@ module Compiled : sig
   val installed : t -> bool
 end
 
+val fork : t -> t
+(** An independent machine in the same state: stepping either one never
+    affects the other, and a run on the fork is event-for-event the run
+    the original would make.
+
+    Copied: the heap ({!Heap.copy}: cells, payloads, monitors), the
+    class-object and client-class tables, every thread with its frames,
+    registers, [entered] lists, status and random stream, the
+    [next_tid]/[next_fid]/[next_label] counters, the machine seed and
+    the output buffer.  Shared, because immutable: the unit, the
+    interned heap layouts (so compiled field caches keep hitting) and
+    the installed compiled code.  Dropped: observers — the fork starts
+    with none.
+
+    [fork] only reads its argument, so several domains may fork one
+    template concurrently as long as nobody steps or mutates it. *)
+
 val add_observer : t -> (Event.t -> unit) -> unit
 
 val new_thread :
