@@ -49,12 +49,12 @@ let pair_to_string p =
     (Sym.to_string p.p_b.ep_owner_path)
     (Access.kind_to_string p.p_b.ep_kind)
 
-(* The static identity of a pair, for dedup: unordered (site, site) plus
-   the field. *)
-let key_of p =
-  let sa = Runtime.Event.site_to_string p.p_a.ep_site in
-  let sb = Runtime.Event.site_to_string p.p_b.ep_site in
-  if String.compare sa sb <= 0 then (sa, sb, p.p_field) else (sb, sa, p.p_field)
+(* The static identity of a pair, for dedup: the unordered site pair
+   (in [compare_site] order) plus the field. *)
+let site_key field (sa : Runtime.Event.site) (sb : Runtime.Event.site) =
+  if Runtime.Event.compare_site sa sb <= 0 then (sa, sb, field) else (sb, sa, field)
+
+let key_of p = site_key p.p_field p.p_a.ep_site p.p_b.ep_site
 
 (* Owners can alias only if their concrete classes are compatible (equal
    here: concrete classes from the same trace). *)
@@ -68,42 +68,50 @@ let usable (a : Access.acc) =
   && a.Access.acc_anchor <> None
   && a.Access.acc_owner_path <> None
 
-let generate (res : Access.result) : pair list =
+let generate ?fields (res : Access.result) : pair list =
   let all = List.filter usable res.Access.accesses in
-  let unprot = List.filter (fun a -> a.Access.acc_unprot) all in
+  (* A pair joins two accesses of one field, so bucket the usable
+     accesses by field once, each bucket in trace order, with its
+     endpoint built once. *)
+  let buckets = Hashtbl.create 32 in
+  List.iter
+    (fun (a : Access.acc) ->
+      match endpoint_of a with
+      | None -> ()
+      | Some e ->
+        let f = a.Access.acc_field in
+        Hashtbl.replace buckets f
+          ((a, e) :: Option.value ~default:[] (Hashtbl.find_opt buckets f)))
+    (List.rev all);
+  let wanted =
+    match fields with None -> fun _ -> true | Some fs -> fun f -> List.mem f fs
+  in
   let seen = Hashtbl.create 64 in
   let out = ref [] in
-  let add p =
-    let k = key_of p in
+  let add field (ea : endpoint) (eb : endpoint) =
+    let k = site_key field ea.ep_site eb.ep_site in
     if not (Hashtbl.mem seen k) then begin
       Hashtbl.replace seen k ();
-      out := p :: !out
+      out := { p_field = field; p_a = ea; p_b = eb } :: !out
     end
   in
   List.iter
     (fun (u : Access.acc) ->
-      match endpoint_of u with
-      | None -> ()
-      | Some eu ->
-        (* (a) the same label from two threads, for writes *)
-        if u.Access.acc_kind = Access.Kwrite then
-          add { p_field = u.Access.acc_field; p_a = eu; p_b = eu };
-        (* (b) any conflicting access to the same field *)
-        List.iter
-          (fun (o : Access.acc) ->
-            if
-              String.equal o.Access.acc_field u.Access.acc_field
-              && (u.Access.acc_kind = Access.Kwrite
-                 || o.Access.acc_kind = Access.Kwrite)
-              && not
-                   (Runtime.Event.compare_site u.Access.acc_site
-                      o.Access.acc_site
-                    = 0)
-            then
-              match endpoint_of o with
-              | Some eo when owners_compatible eu eo ->
-                add { p_field = u.Access.acc_field; p_a = eu; p_b = eo }
-              | Some _ | None -> ())
-          all)
-    unprot;
+      let f = u.Access.acc_field in
+      if u.Access.acc_unprot && wanted f then
+        match endpoint_of u with
+        | None -> ()
+        | Some eu ->
+          (* (a) the same label from two threads, for writes *)
+          if u.Access.acc_kind = Access.Kwrite then add f eu eu;
+          (* (b) any conflicting access to the same field *)
+          List.iter
+            (fun ((o : Access.acc), eo) ->
+              if
+                (u.Access.acc_kind = Access.Kwrite || o.Access.acc_kind = Access.Kwrite)
+                && Runtime.Event.compare_site u.Access.acc_site o.Access.acc_site <> 0
+                && owners_compatible eu eo
+              then add f eu eo)
+            (Hashtbl.find buckets f))
+    all;
   List.rev !out

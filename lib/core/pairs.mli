@@ -22,9 +22,12 @@ type pair = { p_field : Jir.Ast.id; p_a : endpoint; p_b : endpoint }
 
 val pair_to_string : pair -> string
 
-val key_of : pair -> string * string * string
-(** Static identity (unordered site pair + field), for dedup. *)
+val key_of : pair -> Runtime.Event.site * Runtime.Event.site * Jir.Ast.id
+(** Static identity (unordered site pair, in
+    {!Runtime.Event.compare_site} order, + field), for dedup. *)
 
-val generate : Access.result -> pair list
+val generate : ?fields:Jir.Ast.id list -> Access.result -> pair list
 (** The deduplicated racy pairs of a trace analysis (Table 4's
-    "Race Pairs" column). *)
+    "Race Pairs" column), in generation order.  [fields] keeps only the
+    pairs on those fields; as a pair joins accesses of one field, that
+    is the full list filtered by field. *)

@@ -18,6 +18,7 @@ type analysis = {
   an_backend : Backend.t;
       (* prepared once per analysis: the digest lookup / compilation is
          paid here, not on every instantiate of the replay loop *)
+  an_prefixes : Synth.prefixes;
 }
 
 (* Intersect dynamically generated pairs with the static candidate set
@@ -34,7 +35,7 @@ let static_prune ?cache (cu : Jir.Code.unit_) (pairs : Pairs.pair list) =
     pairs
 
 let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
-    ?static_cache ?backend (cu : Jir.Code.unit_) ~client_classes ~seed_cls
+    ?static_cache ?backend ?fields (cu : Jir.Code.unit_) ~client_classes ~seed_cls
     ~seed_meth : (analysis, string) result =
   let backend =
     match backend with
@@ -59,7 +60,7 @@ let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
     let access =
       Obs.Span.with_ "analyze" (fun () -> Access.analyze cu ~client_classes trace)
     in
-    let all_pairs = Obs.Span.with_ "pairs" (fun () -> Pairs.generate access) in
+    let all_pairs = Obs.Span.with_ "pairs" (fun () -> Pairs.generate ?fields access) in
     let pairs, pruned =
       if static_filter then
         Obs.Span.with_ "static-filter" (fun () ->
@@ -89,6 +90,7 @@ let analyze ?(seed = Runtime.Machine.default_seed) ?(static_filter = false)
         an_tests = tests;
         an_seconds = seconds;
         an_backend = backend;
+        an_prefixes = Synth.prefixes ~backend cu ~client_classes tests;
       }
 
 let analyze_source ?seed ?static_filter ?static_cache ?backend src
@@ -99,9 +101,20 @@ let analyze_source ?seed ?static_filter ?static_cache ?backend src
       ~seed_cls ~seed_meth
   | exception Jir.Diag.Error e -> Error (Jir.Diag.to_string e)
 
+(* Trace, accesses, pairs and tests come from the recorded seed run,
+   which has an observer attached and so runs interpreted whatever the
+   backend; only the backend and the machines built on it change. *)
+let with_backend (an : analysis) (k : Backend.kind) : analysis =
+  let backend = Backend.prepare k an.an_cu in
+  {
+    an with
+    an_backend = backend;
+    an_prefixes =
+      Synth.prefixes ~backend an.an_cu ~client_classes:an.an_client_classes an.an_tests;
+  }
+
 let instantiator (an : analysis) (t : Synth.test) : Detect.Racefuzzer.instantiator =
-  Synth.instantiator an.an_cu ~client_classes:an.an_client_classes
-    ~backend:an.an_backend t
+  Synth.instantiator an.an_prefixes t
 
 let summary_to_string (an : analysis) =
   Printf.sprintf

@@ -79,31 +79,37 @@ let plan (prog : Jir.Program.t) (summary : Summary.t) ~seed_cls ~seed_meth
 
 let ( let* ) = Result.bind
 
+(* Every replay of the seed test that synthesis starts, one-goal or
+   shared, counts in the stable counter [synth/seed_replays]. *)
+let seed_replay m ~(t : test) ~goals =
+  Obs.Metrics.incr (Obs.Metrics.global ()) "synth/seed_replays";
+  Runtime.Interp.replay m ~cls:t.st_seed_cls ~meth:t.st_seed_meth ~goals
+
+let goal_of (e : Pairs.endpoint) = (e.Pairs.ep_qname, e.Pairs.ep_occurrence)
+
+let unreached (qname, occurrence) =
+  Printf.sprintf "seed replay never reached %s (occurrence %d)" qname occurrence
+
+(* Replay the seed on a new thread of [m] to just before [goal] and
+   suspend it there. *)
+let replay_to m ~(t : test) goal : Runtime.Interp.captured option =
+  match Runtime.Interp.next_goal (seed_replay m ~t ~goals:[ goal ]) with
+  | Some (_, c) ->
+    Runtime.Machine.suspend m c.Runtime.Interp.cap_tid;
+    Some c
+  | None -> None
+
 let capture m ~(t : test) ~(e : Pairs.endpoint) :
     (Runtime.Interp.captured, string) result =
-  match
-    Runtime.Interp.run_until_call m ~cls:t.st_seed_cls ~meth:t.st_seed_meth
-      ~target_qname:e.Pairs.ep_qname ~nth:e.Pairs.ep_occurrence
-  with
-  | Some c ->
-    Runtime.Machine.suspend m c.Runtime.Interp.cap_tid;
-    Ok c
-  | None ->
-    Error
-      (Printf.sprintf "seed replay never reached %s (occurrence %d)"
-         e.Pairs.ep_qname e.Pairs.ep_occurrence)
+  let goal = goal_of e in
+  Option.to_result ~none:(unreached goal) (replay_to m ~t goal)
 
 (* Replay the seed to observe an invocation of [qname]; returns the
    receiver and arguments about to be passed. *)
 let harvest_invocation m ~(t : test) ~qname :
     (Runtime.Value.t option * Runtime.Value.t list, string) result =
-  match
-    Runtime.Interp.run_until_call m ~cls:t.st_seed_cls ~meth:t.st_seed_meth
-      ~target_qname:qname ~nth:0
-  with
-  | Some c ->
-    Runtime.Machine.suspend m c.Runtime.Interp.cap_tid;
-    Ok (c.Runtime.Interp.cap_recv, c.Runtime.Interp.cap_args)
+  match replay_to m ~t (qname, 0) with
+  | Some c -> Ok (c.Runtime.Interp.cap_recv, c.Runtime.Interp.cap_args)
   | None -> Error (Printf.sprintf "seed replay never invokes %s" qname)
 
 let root_value (cap : Runtime.Interp.captured) (root : Sym.root) :
@@ -277,15 +283,32 @@ let effective_recipe (p : Context.plan) ~(path : string list) :
   | Some r -> Some (path, r)
   | None -> p.Context.plan_prefix
 
-let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
-    ?backend (cu : Jir.Code.unit_) ~client_classes (t : test) :
-    (Detect.Racefuzzer.instance, string) result =
+(* The state collectObjects leaves: both seed replays suspended before
+   their endpoints' invocations, with what each was about to pass. *)
+type collected = {
+  co_m : Runtime.Machine.t;
+  co_a : Runtime.Interp.captured;
+  co_b : Runtime.Interp.captured;
+}
+
+let fresh_machine ~seed ~backend cu ~client_classes =
   let m = Runtime.Machine.create ~client_classes ~seed cu in
   (match backend with Some b -> Backend.install b m | None -> ());
+  m
+
+(* 1. collectObjects: one independent seed replay per endpoint. *)
+let collect ~seed ~backend cu ~client_classes (t : test) : (collected, string) result =
+  let m = fresh_machine ~seed ~backend cu ~client_classes in
+  let* cap_a = capture m ~t ~e:t.st_pair.Pairs.p_a in
+  let* cap_b = capture m ~t ~e:t.st_pair.Pairs.p_b in
+  Ok { co_m = m; co_a = cap_a; co_b = cap_b }
+
+(* 2–3: shareObjects, the context calls and the two racy threads, on a
+   machine this test owns. *)
+let share_and_spawn ~apply_context (t : test) (co : collected) :
+    (Detect.Racefuzzer.instance, string) result =
+  let m = co.co_m and cap_a = co.co_a and cap_b = co.co_b in
   let ea = t.st_pair.Pairs.p_a and eb = t.st_pair.Pairs.p_b in
-  (* 1. collectObjects: one independent seed replay per endpoint. *)
-  let* cap_a = capture m ~t ~e:ea in
-  let* cap_b = capture m ~t ~e:eb in
   let* root_a = root_value cap_a ea.Pairs.ep_owner_path.Sym.root in
   let* root_b = root_value cap_b eb.Pairs.ep_owner_path.Sym.root in
   (* 2. shareObjects + context calls. *)
@@ -358,16 +381,165 @@ let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
       ri_roots = roots;
     }
 
+let instantiate ?(seed = Runtime.Machine.default_seed) ?(apply_context = true)
+    ?backend (cu : Jir.Code.unit_) ~client_classes (t : test) :
+    (Detect.Racefuzzer.instance, string) result =
+  let* co = collect ~seed ~backend cu ~client_classes t in
+  share_and_spawn ~apply_context t co
+
+(* ------------------------------------------------------------------ *)
+(* Prefix sharing                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* collectObjects depends on a test only through its two endpoints'
+   (qname, occurrence) goals, and many tests of one analysis share
+   them.  Per A goal (a "point"), one machine replays the seed to A and
+   then starts the second replay as a cursor; as the cursor passes each
+   B goal some test needs, a snapshot of it is taken (B's thread
+   suspended, as [capture] leaves it).  A test takes a fork of its
+   snapshot, the last user the snapshot itself, after which the
+   snapshot is gone and a later request replays afresh.  A fork runs
+   exactly as the machine it copies, so a test built from a snapshot is
+   the test [instantiate] builds. *)
+
+type snap =
+  | Ahead  (* the cursor has not reached this goal yet *)
+  | Held of collected
+  | Gone  (* every planned user took it *)
+  | Unreached of string  (* the replays end first: [collect]'s error *)
+
+type slot = { mutable sl_users : int; mutable sl_snap : snap }
+
+let ahead (sl : slot) =
+  match sl.sl_snap with Ahead -> true | Held _ | Gone | Unreached _ -> false
+
+type cursor =
+  | Unstarted
+  | Replaying of {
+      cr_m : Runtime.Machine.t;
+      cr_a : Runtime.Interp.captured;
+      cr_replay : Runtime.Interp.replay;
+    }
+  | Done  (* no slot is [Ahead] any more *)
+
+type point = {
+  pt_mu : Mutex.t;  (* builds serialize per point, not per analysis *)
+  mutable pt_slots : ((string * int) * slot) list;  (* by B goal; set while planning *)
+  mutable pt_cursor : cursor;
+}
+
+type prefixes = {
+  px_cu : Jir.Code.unit_;
+  px_client_classes : Jir.Ast.id list;
+  px_backend : Backend.t option;
+  px_points : (string * int, point) Hashtbl.t;  (* only read after planning *)
+}
+
+let prefixes ?backend cu ~client_classes (tests : test list) : prefixes =
+  let points = Hashtbl.create 32 in
+  List.iter
+    (fun t ->
+      let ga = goal_of t.st_pair.Pairs.p_a and gb = goal_of t.st_pair.Pairs.p_b in
+      let pt =
+        match Hashtbl.find_opt points ga with
+        | Some pt -> pt
+        | None ->
+          let pt = { pt_mu = Mutex.create (); pt_slots = []; pt_cursor = Unstarted } in
+          Hashtbl.replace points ga pt;
+          pt
+      in
+      match List.assoc_opt gb pt.pt_slots with
+      | Some sl -> sl.sl_users <- sl.sl_users + 1
+      | None -> pt.pt_slots <- (gb, { sl_users = 1; sl_snap = Ahead }) :: pt.pt_slots)
+    tests;
+  { px_cu = cu; px_client_classes = client_classes; px_backend = backend; px_points = points }
+
+let settle_ahead (pt : point) error_of =
+  List.iter
+    (fun (gb, sl) -> if ahead sl then sl.sl_snap <- Unreached (error_of gb))
+    pt.pt_slots;
+  pt.pt_cursor <- Done
+
+(* Replay A once, then start the cursor over every B goal of the point. *)
+let start px (pt : point) (t : test) =
+  let m =
+    fresh_machine ~seed:Runtime.Machine.default_seed ~backend:px.px_backend px.px_cu
+      ~client_classes:px.px_client_classes
+  in
+  match capture m ~t ~e:t.st_pair.Pairs.p_a with
+  | Error e -> settle_ahead pt (fun _ -> e)
+  | Ok cap_a ->
+    pt.pt_cursor <-
+      Replaying
+        { cr_m = m; cr_a = cap_a; cr_replay = seed_replay m ~t ~goals:(List.map fst pt.pt_slots) }
+
+(* Move the cursor until [slot] is no longer [Ahead], snapshotting every
+   goal passed on the way.  The cursor machine itself becomes the last
+   goal's snapshot, as nothing steps it afterwards. *)
+let rec advance px (pt : point) (t : test) (slot : slot) =
+  if ahead slot then
+    match pt.pt_cursor with
+    | Done -> ()
+    | Unstarted ->
+      start px pt t;
+      advance px pt t slot
+    | Replaying { cr_m; cr_a; cr_replay } ->
+      (match Runtime.Interp.next_goal cr_replay with
+      | None -> settle_ahead pt unreached
+      | Some (gb, cap_b) ->
+        let sl = List.assoc gb pt.pt_slots in
+        let last = List.for_all (fun (_, s) -> s == sl || not (ahead s)) pt.pt_slots in
+        let m =
+          if last then begin
+            pt.pt_cursor <- Done;
+            cr_m
+          end
+          else Runtime.Machine.fork cr_m
+        in
+        Runtime.Machine.suspend m cap_b.Runtime.Interp.cap_tid;
+        sl.sl_snap <- Held { co_m = m; co_a = cr_a; co_b = cap_b });
+      advance px pt t slot
+
+let take (slot : slot) : (collected, string) result option =
+  match slot.sl_snap with
+  | Held co ->
+    slot.sl_users <- slot.sl_users - 1;
+    if slot.sl_users > 0 then Some (Ok { co with co_m = Runtime.Machine.fork co.co_m })
+    else begin
+      slot.sl_snap <- Gone;
+      Some (Ok co)
+    end
+  | Unreached e -> Some (Error e)
+  | Gone | Ahead -> None
+
+let collect_shared (px : prefixes) (t : test) : (collected, string) result =
+  let shared =
+    match Hashtbl.find_opt px.px_points (goal_of t.st_pair.Pairs.p_a) with
+    | None -> None
+    | Some pt -> (
+      match List.assoc_opt (goal_of t.st_pair.Pairs.p_b) pt.pt_slots with
+      | None -> None
+      | Some slot ->
+        Mutex.protect pt.pt_mu (fun () ->
+            advance px pt t slot;
+            take slot))
+  in
+  match shared with
+  | Some r -> r
+  | None ->
+    collect ~seed:Runtime.Machine.default_seed ~backend:px.px_backend px.px_cu
+      ~client_classes:px.px_client_classes t
+
 (* collectObjects and shareObjects are per-test set-up, not per-run
    work: build the instance once and hand out forks of it.  Templates
    built is a stable count (one per instantiator ever called, whatever
    the job count); forks are not, as a parallel confirm runs past its
    logical prefix. *)
-let instantiator ?seed ?apply_context ?backend cu ~client_classes (t : test) :
-    Detect.Racefuzzer.instantiator =
+let instantiator (px : prefixes) (t : test) : Detect.Racefuzzer.instantiator =
   Detect.Racefuzzer.forking (fun () ->
       Obs.Metrics.incr (Obs.Metrics.global ()) "synth/instantiations";
-      instantiate ?seed ?apply_context ?backend cu ~client_classes t)
+      let* co = collect_shared px t in
+      share_and_spawn ~apply_context:true t co)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -133,20 +133,23 @@ let compile_patched prog =
   | cu -> Ok cu
   | exception Jir.Diag.Error d -> Error (Jir.Diag.to_string d)
 
-(* Tests of a (re)analysis that are relevant to the race: the ones whose
-   dedup key detected it originally, plus every test targeting the racy
-   field (re-synthesis can renumber tests, dedup keys are stable). *)
-let relevant_tests (bl : baseline) (rid : Grammar.race_id) ~all
-    (an : Pipeline.analysis) =
-  if all then an.Pipeline.an_tests
-  else
-    let keys = bl.bl_tests_of rid in
-    List.filter
-      (fun t ->
-        let k = Synth.dedup_key t.Synth.st_pair in
-        List.mem k keys
-        || String.equal t.Synth.st_pair.Narada_core.Pairs.p_field rid.Grammar.rid_field)
-      an.Pipeline.an_tests
+(* Tests of a (re)analysis that are relevant to a race on [field]: the
+   ones whose dedup key detected it originally ([keys]), plus every test
+   targeting the racy field (re-synthesis can renumber tests, dedup keys
+   are stable). *)
+let relevant_tests ~field ~keys (an : Pipeline.analysis) =
+  List.filter
+    (fun t ->
+      List.mem (Synth.dedup_key t.Synth.st_pair) keys
+      || String.equal t.Synth.st_pair.Narada_core.Pairs.p_field field)
+    an.Pipeline.an_tests
+
+(* The fields whose pairs can give a relevant test: the racy field and
+   the fields of [keys].  Pairs join accesses of one field and dedup
+   keys carry the field, so an analysis scoped to them keeps every
+   relevant test. *)
+let relevant_fields ~field ~keys =
+  List.sort_uniq String.compare (field :: List.map (fun (_, _, f) -> f) keys)
 
 let rid_of_key_opt k =
   match Grammar.race_id_of_key k with Ok r -> Some r | Error _ -> None
@@ -156,12 +159,17 @@ let validate (opts : options) (sub : subject) (bl : baseline)
     (Ast.program, reject) result =
   let reg = Obs.Metrics.global () in
   let ( let* ) = Result.bind in
-  let* patched =
-    Result.map_error (fun m -> R_compile m) (Grammar.apply sub.sj_prog cand)
+  let stage name f = Obs.Span.with_ ("repair/validate/" ^ name) f in
+  let* patched, cu =
+    stage "compile" (fun () ->
+        let* patched =
+          Result.map_error (fun m -> R_compile m) (Grammar.apply sub.sj_prog cand)
+        in
+        let* cu = Result.map_error (fun m -> R_compile m) (compile_patched patched) in
+        Ok (patched, cu))
   in
-  let* cu = Result.map_error (fun m -> R_compile m) (compile_patched patched) in
   (* Sequential behavior must be preserved. *)
-  let out, res = seed_run opts cu sub in
+  let out, res = stage "seed" (fun () -> seed_run opts cu sub) in
   let* () =
     if not (String.equal res bl.bl_result) then
       Error (R_behavior (Printf.sprintf "seed result %s (was %s)" res bl.bl_result))
@@ -171,7 +179,7 @@ let validate (opts : options) (sub : subject) (bl : baseline)
   in
   (* No new ABBA lock-order pair. *)
   let* pairs =
-    Result.map_error (fun m -> R_compile m) (lock_pairs cu sub)
+    Result.map_error (fun m -> R_compile m) (stage "lockorder" (fun () -> lock_pairs cu sub))
   in
   let* () =
     match List.find_opt (fun p -> not (List.mem p bl.bl_pairs)) pairs with
@@ -187,20 +195,31 @@ let validate (opts : options) (sub : subject) (bl : baseline)
       (function Grammar.Replace_mutex _ -> true | _ -> false)
       cand.Grammar.ca_actions
   in
+  (* One analysis per candidate, shared by the backends (it does not
+     depend on them) and, without a mutex replacement, scoped to the
+     fields a relevant test can target.  Every check retargets it, so
+     it prepares the interpreter, which costs nothing. *)
+  let field = rid.Grammar.rid_field and keys = bl.bl_tests_of rid in
+  let analysis =
+    lazy
+      (stage "analyze" (fun () ->
+           Pipeline.analyze ~seed:opts.eo_seed ~backend:Backend.Interp
+             ?fields:(if has_replace then None else Some (relevant_fields ~field ~keys))
+             cu ~client_classes:sub.sj_client_classes ~seed_cls:sub.sj_seed_cls
+             ~seed_meth:sub.sj_seed_meth))
+  in
   (* Re-detection, per backend: the race must no longer be confirmable. *)
   let check_backend backend =
-    match
-      Pipeline.analyze ~seed:opts.eo_seed ~backend cu
-        ~client_classes:sub.sj_client_classes ~seed_cls:sub.sj_seed_cls
-        ~seed_meth:sub.sj_seed_meth
-    with
+    match Lazy.force analysis with
     | Error msg -> Error (R_compile msg)
     | Ok an ->
-      let tests = relevant_tests bl rid ~all:has_replace an in
+      (* Prefixes are planned for the relevant tests only. *)
+      let tests = if has_replace then an.Pipeline.an_tests else relevant_tests ~field ~keys an in
+      let an = Pipeline.with_backend { an with Pipeline.an_tests = tests } backend in
       let rec scan = function
         | [] -> Ok ()
         | t :: rest ->
-          let cands, instantiate = test_candidates opts an t in
+          let cands, instantiate = stage "redetect" (fun () -> test_candidates opts an t) in
           let rec check = function
             | [] -> scan rest
             | (k, r) :: more ->
@@ -220,9 +239,10 @@ let validate (opts : options) (sub : subject) (bl : baseline)
               if not (ours || fresh) then check more
               else
                 let confirm =
-                  Rf.confirm ~instantiate ~cand:(Rf.candidate_of_report r)
-                    ~runs:opts.eo_confirm_runs ~fuel:opts.eo_fuel
-                    ~seed:opts.eo_seed ~jobs:opts.eo_jobs ()
+                  stage "confirm" (fun () ->
+                      Rf.confirm ~instantiate ~cand:(Rf.candidate_of_report r)
+                        ~runs:opts.eo_confirm_runs ~fuel:opts.eo_fuel
+                        ~seed:opts.eo_seed ~jobs:opts.eo_jobs ())
                 in
                 if confirm.Rf.confirmed = None then check more
                 else if ours then Error (R_race_survives backend)
@@ -236,7 +256,7 @@ let validate (opts : options) (sub : subject) (bl : baseline)
           in
           check cands
       in
-      scan tests
+      scan an.Pipeline.an_tests
   in
   let rec over_backends = function
     | [] -> Ok patched

@@ -12,7 +12,10 @@
       on the patched program, for every configured backend, must no
       longer confirm the race — and, for candidates that replace an
       existing mutex (the only edit that can remove protection), must
-      confirm no race that the original program did not already show. *)
+      confirm no race that the original program did not already show.
+      The patched program is analysed once and the analysis retargeted
+      to each backend; without a mutex replacement it is scoped to
+      {!relevant_fields}. *)
 
 type subject = {
   sj_prog : Jir.Ast.program;
@@ -61,6 +64,24 @@ val reject_to_string : reject -> string
 type baseline
 
 val baseline_of : options -> subject -> (baseline, string) result
+
+val relevant_fields :
+  field:Jir.Ast.id -> keys:(string * string * string) list -> Jir.Ast.id list
+(** The fields re-detection analyses for a race on [field] that the
+    tests with dedup [keys] ({!Narada_core.Synth.dedup_key}) detected:
+    [field] and the keys' fields, sorted.  Pairs join accesses of one
+    field, so an analysis scoped to them ({!Narada_core.Pipeline.analyze}
+    [~fields]) keeps every test {!relevant_tests} selects. *)
+
+val relevant_tests :
+  field:Jir.Ast.id ->
+  keys:(string * string * string) list ->
+  Narada_core.Pipeline.analysis ->
+  Narada_core.Synth.test list
+(** The tests re-detection drives for such a race, in analysis order:
+    those with a dedup key in [keys] and those on [field].  A candidate
+    that replaces a mutex drives every test of a full analysis
+    instead. *)
 
 type attempt = { at_cand : Grammar.candidate; at_result : (unit, reject) result }
 

@@ -47,22 +47,41 @@ type captured = {
   cap_tid : Value.tid; (* the suspended thread *)
 }
 
-(* Start [cls.meth()] on [m] and run it until just before the [nth]
-   (0-based) client-level invocation of [target_qname]; leave the thread
-   suspended there.  Returns [None] if the test finishes without
-   reaching the invocation. *)
-let run_until_call ?(fuel = Machine.default_fuel) (m : Machine.t) ~cls ~meth
-    ~target_qname ~nth : captured option =
-  let cu = Machine.unit_of m in
-  let cm = find_entry cu ~cls ~meth in
+(* A replay of [cls.meth()] on its own thread of [m] that stops just
+   before each of a set of client-level invocations (the goals), so one
+   replay serves every capture point a batch of synthesized tests needs.
+   A goal [(qname, nth)] is the [nth] (0-based) client-level invocation
+   of [qname]; library-internal calls do not count. *)
+type replay = {
+  rp_m : Machine.t;
+  rp_th : Machine.thread;
+  rp_tid : Value.tid;
+  rp_seen : (string * int ref) list; (* invocations of each goal qname so far *)
+  mutable rp_left : (string * int) list; (* goals not reached yet *)
+  mutable rp_fuel : int;
+  mutable rp_parked : bool; (* stopped before a goal's call: step past it first *)
+}
+
+let replay ?(fuel = Machine.default_fuel) (m : Machine.t) ~cls ~meth ~goals =
+  let cm = find_entry (Machine.unit_of m) ~cls ~meth in
   let tid = Machine.new_thread m ~client:true ~cm ~recv:None ~args:[] () in
-  (* Hoist the thread record: this loop runs once per instruction of the
-     seed test, and the record-based queries skip the per-step tid
-     lookups. *)
-  let th = Machine.find_thread m tid in
-  let count = ref 0 in
-  let rec loop n =
-    if n <= 0 then None
+  {
+    rp_m = m;
+    (* Hoist the thread record: the loop below runs once per instruction
+       of the seed test, and the record-based queries skip the per-step
+       tid lookups. *)
+    rp_th = Machine.find_thread m tid;
+    rp_tid = tid;
+    rp_seen = List.map (fun q -> (q, ref 0)) (List.sort_uniq String.compare (List.map fst goals));
+    rp_left = goals;
+    rp_fuel = fuel;
+    rp_parked = false;
+  }
+
+let next_goal (r : replay) : ((string * int) * captured) option =
+  let m = r.rp_m and th = r.rp_th in
+  let rec look () =
+    if r.rp_fuel <= 0 then None
     else
       let is_client_caller =
         match Machine.top_frame_th th with
@@ -70,22 +89,40 @@ let run_until_call ?(fuel = Machine.default_fuel) (m : Machine.t) ~cls ~meth
         | None -> true
       in
       match Machine.pending_call_th m th with
-      | Some (target, recv, args)
-        when is_client_caller
-             && String.equal target.Code.cm_qname target_qname ->
-        if !count = nth then
-          Some { cap_meth = target; cap_recv = recv; cap_args = args; cap_tid = tid }
-        else (
-          incr count;
-          step_and_continue n)
-      | Some _ | None -> step_and_continue n
-  and step_and_continue n =
+      | Some (target, recv, args) when is_client_caller -> (
+        match List.assoc_opt target.Code.cm_qname r.rp_seen with
+        | None -> step ()
+        | Some seen ->
+          let goal = (target.Code.cm_qname, !seen) in
+          incr seen;
+          if List.mem goal r.rp_left then begin
+            r.rp_left <- List.filter (fun g -> g <> goal) r.rp_left;
+            r.rp_parked <- true;
+            Some
+              (goal, { cap_meth = target; cap_recv = recv; cap_args = args; cap_tid = r.rp_tid })
+          end
+          else step ())
+      | Some _ | None -> step ()
+  and step () =
     match Machine.step_th m th with
     | Machine.Stepped -> (
       match Machine.status_th th with
       | Machine.Finished _ | Machine.Crashed _ | Machine.Suspended -> None
       | Machine.Runnable | Machine.Blocked_lock _ | Machine.Blocked_join _ ->
-        loop (n - 1))
+        r.rp_fuel <- r.rp_fuel - 1;
+        look ())
     | Machine.Blocked | Machine.Not_runnable -> None
   in
-  loop fuel
+  if r.rp_left = [] then None
+  else if r.rp_parked then begin
+    r.rp_parked <- false;
+    step ()
+  end
+  else look ()
+
+(* The one-goal replay: start [cls.meth()] on [m] and run it until just
+   before the [nth] (0-based) client-level invocation of [target_qname];
+   leave the thread there.  Returns [None] if the test finishes without
+   reaching the invocation. *)
+let run_until_call ?fuel (m : Machine.t) ~cls ~meth ~target_qname ~nth : captured option =
+  Option.map snd (next_goal (replay ?fuel m ~cls ~meth ~goals:[ (target_qname, nth) ]))

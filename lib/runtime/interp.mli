@@ -45,4 +45,28 @@ val run_until_call :
 (** Start [cls.meth()] on a fresh thread of [m] and run it until just
     before its [nth] (0-based) client-level invocation of
     [target_qname]; the thread is left at that point.  [None] if the
-    test ends first. *)
+    test ends first.  The one-goal case of {!replay}. *)
+
+type replay
+(** A seed replay on its own thread that stops before each of several
+    invocations, so one replay serves many capture points. *)
+
+val replay :
+  ?fuel:int ->
+  Machine.t ->
+  cls:Jir.Ast.id ->
+  meth:Jir.Ast.id ->
+  goals:(string * int) list ->
+  replay
+(** Start [cls.meth()] on a fresh thread of [m]; nothing is stepped
+    until {!next_goal}.  A goal [(qname, nth)] is the [nth] (0-based)
+    client-level invocation of [qname].  [fuel] (default
+    {!Machine.default_fuel}) bounds the steps of the whole replay. *)
+
+val next_goal : replay -> ((string * int) * captured) option
+(** Run the replay thread until just before the next goal's invocation
+    and leave it there (a later call steps past it first), so goals come
+    back in the order the seed reaches them.  Each goal is reached at
+    the step, and in the machine state, at which a one-goal replay of
+    it stops.  [None] once every goal was reached, or when the thread
+    ends, blocks or runs out of fuel first. *)

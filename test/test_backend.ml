@@ -188,6 +188,38 @@ let test_until_call_fuel_exhaustion () =
   | Some _ -> Alcotest.fail "fuel was too small to reach the call"
   | None -> ()
 
+(* One replay serves several goals: they come back in the order the
+   seed reaches them, each in the state a one-goal replay stops in, and
+   the replay stops once every goal was reached. *)
+let test_replay_goals () =
+  let v_at m (cap : Interp.captured) =
+    match cap.Interp.cap_recv with
+    | Some r -> Machine.deref_path m r [ "v" ]
+    | None -> None
+  in
+  let one nth =
+    let _cu, m = fresh_seed_machine () in
+    match Interp.run_until_call m ~cls:"Seed" ~meth:"test" ~target_qname:"C.inc" ~nth with
+    | Some cap -> (Machine.labels_used m, v_at m cap)
+    | None -> Alcotest.failf "no capture of call %d" nth
+  in
+  let _cu, m = fresh_seed_machine () in
+  let r =
+    Interp.replay m ~cls:"Seed" ~meth:"test" ~goals:[ ("C.inc", 2); ("C.inc", 0); ("C.nope", 0) ]
+  in
+  let next () =
+    match Interp.next_goal r with
+    | Some (g, cap) -> (g, (Machine.labels_used m, v_at m cap))
+    | None -> Alcotest.fail "expected a goal"
+  in
+  let g0, s0 = next () in
+  let g2, s2 = next () in
+  Alcotest.(check (pair string int)) "first goal reached first" ("C.inc", 0) g0;
+  Alcotest.(check (pair string int)) "then the third call" ("C.inc", 2) g2;
+  Alcotest.(check bool) "first stop = one-goal replay" true (s0 = one 0);
+  Alcotest.(check bool) "second stop = one-goal replay" true (s2 = one 2);
+  Alcotest.(check bool) "unreachable goal: replay ends" true (Interp.next_goal r = None)
+
 (* Library-internal invocations of the target must not count: only
    client-level calls are synthesis anchors. *)
 let test_until_call_client_only () =
@@ -254,6 +286,7 @@ let () =
           Alcotest.test_case "nth beyond last" `Quick test_until_call_nth_beyond;
           Alcotest.test_case "fuel exhaustion" `Quick test_until_call_fuel_exhaustion;
           Alcotest.test_case "client calls only" `Quick test_until_call_client_only;
+          Alcotest.test_case "several goals, one replay" `Quick test_replay_goals;
         ] );
       ( "trace pool",
         [ Alcotest.test_case "cap knob" `Quick test_pool_cap ] );

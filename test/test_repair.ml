@@ -263,6 +263,87 @@ let test_counter_race_repaired_minimally () =
         | _ -> Alcotest.fail "counter race not repaired")
       rp.Engine.rp_races
 
+(* ---- re-detection analysis ---- *)
+
+module Pipeline = Narada_core.Pipeline
+module Synth = Narada_core.Synth
+
+(* Every race id lockset detection shows on a class, with the dedup keys
+   of the tests that show it: what discovery records in repair's
+   baseline (two schedules per test, repair's schedule seeds). *)
+let detected_races (an : Pipeline.analysis) =
+  let races = ref [] in
+  List.iter
+    (fun (t : Synth.test) ->
+      let inst = Pipeline.instantiator an t in
+      List.iter
+        (fun i ->
+          match inst () with
+          | Error _ -> ()
+          | Ok r ->
+            List.iter
+              (fun rep ->
+                match Grammar.race_id_of_key (Detect.Race.key_of rep) with
+                | Ok rid -> races := (rid, Synth.dedup_key t.Synth.st_pair) :: !races
+                | Error _ -> ())
+              (Detect.Lockset.detect_once r.Detect.Racefuzzer.ri_machine
+                 ~seed:(Int64.add 7L (Int64.of_int (i * 1299709)))))
+        [ 0; 1 ])
+    an.Pipeline.an_tests;
+  List.sort_uniq Grammar.compare_race_id (List.map fst !races)
+  |> List.map (fun rid ->
+         ( rid,
+           List.sort_uniq compare
+             (List.filter_map
+                (fun (r, k) -> if Grammar.compare_race_id r rid = 0 then Some k else None)
+                !races) ))
+
+(* Validation analyses a candidate once, scoped to the race's relevant
+   fields, and retargets that analysis to each backend.  For every
+   race of C1-C9 this yields the relevant tests (dedup keys and context
+   plans, in order) that a full analysis per backend yields. *)
+let test_scoped_analysis_matches_full () =
+  let races = ref 0 and tests = ref 0 and foreign = ref 0 in
+  List.iter
+    (fun (e : Corpus.Corpus_def.entry) ->
+      let cu = Corpus.Registry.compiled_unit e in
+      let analyze ?fields backend =
+        match
+          Pipeline.analyze ~backend ?fields cu
+            ~client_classes:[ e.Corpus.Corpus_def.e_seed_cls ]
+            ~seed_cls:e.Corpus.Corpus_def.e_seed_cls
+            ~seed_meth:e.Corpus.Corpus_def.e_seed_meth
+        with
+        | Ok an -> an
+        | Error msg -> Alcotest.failf "%s: %s" e.Corpus.Corpus_def.e_id msg
+      in
+      let full = List.map (fun b -> (b, analyze b)) [ Backend.Interp; Backend.Compiled ] in
+      List.iter
+        (fun (rid, keys) ->
+          incr races;
+          let field = rid.Grammar.rid_field in
+          if List.exists (fun (_, _, f) -> f <> field) keys then incr foreign;
+          let view an =
+            List.map
+              (fun (t : Synth.test) ->
+                (Synth.dedup_key t.Synth.st_pair, t.Synth.st_plan_a, t.Synth.st_plan_b))
+              (Engine.relevant_tests ~field ~keys an)
+          in
+          let scoped = analyze ~fields:(Engine.relevant_fields ~field ~keys) Backend.Interp in
+          List.iter
+            (fun (b, an) ->
+              tests := !tests + List.length (view an);
+              if view (Pipeline.with_backend scoped b) <> view an then
+                Alcotest.failf "%s, %s, %s backend: scoped analysis differs"
+                  e.Corpus.Corpus_def.e_id (Grammar.race_id_to_string rid)
+                  (Backend.to_string b))
+            full)
+        (detected_races (List.assoc Backend.Compiled full)))
+    Corpus.Registry.all;
+  Alcotest.(check bool) "races checked" true (!races > 50);
+  Alcotest.(check bool) "relevant tests compared" true (!tests > 1000);
+  Alcotest.(check bool) "races shown by a test on another field" true (!foreign > 0)
+
 let () =
   Alcotest.run "repair"
     [
@@ -284,5 +365,10 @@ let () =
             test_symmetric_race_repaired_globally;
           Alcotest.test_case "counter race repaired locally" `Quick
             test_counter_race_repaired_minimally;
+        ] );
+      ( "re-detection",
+        [
+          Alcotest.test_case "scoped analysis = full (C1-C9)" `Quick
+            test_scoped_analysis_matches_full;
         ] );
     ]

@@ -389,6 +389,105 @@ let test_confirm_domain_safety () =
       end)
     an.Pipeline.an_tests
 
+(* ---- prefix sharing ---- *)
+
+let seed_replays () =
+  Obs.Metrics.counter_value (Obs.Metrics.global ()) "synth/seed_replays"
+
+(* [f ()] and the seed replays it started. *)
+let replays_of f =
+  let before = seed_replays () in
+  let r = f () in
+  (r, seed_replays () - before)
+
+let goal (e : Pairs.endpoint) = (e.Pairs.ep_qname, e.Pairs.ep_occurrence)
+
+let shuffled xs =
+  let st = Random.State.make [| 42 |] in
+  List.map (fun x -> (Random.State.bits st, x)) xs
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+(* Did the seed replay to endpoint A fail?  Then collectObjects stopped
+   after one replay, and every test at that A goal fails the same way. *)
+let a_unreached (t : Synth.test) = function
+  | Error e ->
+    let qa, occ = goal t.Synth.st_pair.Pairs.p_a in
+    e = Printf.sprintf "seed replay never reached %s (occurrence %d)" qa occ
+  | Ok _ -> false
+
+(* A test built from a shared prefix runs as a fresh [Synth.instantiate]
+   (the fork = fresh facts, one traced schedule), whatever order the
+   tests are requested in.  The seed replays are counted exactly: a
+   round saves each test's own collectObjects replays (two, or one when
+   A is never reached) and pays one A replay plus one cursor per A goal
+   (or the A replay alone).  A second round over the same prefixes finds
+   every snapshot released and replays afresh, so it costs what fresh
+   builds cost and still gives the same tests.  Returns the replays a
+   round saves and the number of B snapshots planned for two or more
+   tests. *)
+let check_prefix_sharing (name, (an : Pipeline.analysis)) =
+  let tests = an.Pipeline.an_tests in
+  let facts r = Result.map (fun i -> traced_run i ~seed:3L) r in
+  let fresh_facts = List.map (fun t -> replays_of (fun () -> facts (fresh an t))) tests in
+  let sum = List.fold_left ( + ) 0 in
+  let fresh_total = sum (List.map snd fresh_facts) in
+  let points =
+    List.sort_uniq compare
+      (List.map2
+         (fun (t : Synth.test) (r, _) -> (goal t.Synth.st_pair.Pairs.p_a, a_unreached t r))
+         tests fresh_facts)
+  in
+  let saved =
+    sum (List.map2 (fun t (r, _) -> if a_unreached t r then 1 else 2) tests fresh_facts)
+    - sum (List.map (fun (_, unreached) -> if unreached then 1 else 2) points)
+  in
+  let slots =
+    List.map
+      (fun (t : Synth.test) -> (goal t.Synth.st_pair.Pairs.p_a, goal t.Synth.st_pair.Pairs.p_b))
+      tests
+  in
+  let shared_slots =
+    List.length
+      (List.filter
+         (fun k -> List.length (List.filter (( = ) k) slots) >= 2)
+         (List.sort_uniq compare slots))
+  in
+  let round px what order =
+    sum
+      (List.map
+         (fun ((t : Synth.test), (want, _)) ->
+           let got, n = replays_of (fun () -> facts (Synth.instantiator px t ())) in
+           if got <> want then
+             Alcotest.failf "%s test #%d (%s): prefix-shared /= fresh" name t.Synth.st_id what;
+           n)
+         order)
+  in
+  List.iter
+    (fun (what, order) ->
+      let px =
+        Synth.prefixes ~backend:an.Pipeline.an_backend an.Pipeline.an_cu
+          ~client_classes:an.Pipeline.an_client_classes tests
+      in
+      let requests = order (List.combine tests fresh_facts) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s, %s: seed replays" name what)
+        (fresh_total - saved) (round px what requests);
+      Alcotest.(check int)
+        (Printf.sprintf "%s, %s: after release" name what)
+        fresh_total
+        (round px (what ^ ", after release") requests))
+    [ ("forward", Fun.id); ("reverse", List.rev); ("shuffled", shuffled) ];
+  (saved, shared_slots)
+
+let check_prefix_sharing_all ans =
+  let saved, shared = List.split (List.map check_prefix_sharing ans) in
+  Alcotest.(check bool) "replays saved" true (List.fold_left ( + ) 0 saved > 0);
+  Alcotest.(check bool) "some snapshot serves two tests" true (List.fold_left ( + ) 0 shared > 0)
+
+let test_prefix_sharing_corpus () = check_prefix_sharing_all (Lazy.force corpus_analyses)
+let test_prefix_sharing_gen () = check_prefix_sharing_all (Lazy.force gen_analyses)
+
 let () =
   Alcotest.run "synth"
     [
@@ -415,6 +514,11 @@ let () =
           Alcotest.test_case "error cached" `Quick test_error_cached;
           Alcotest.test_case "template built once" `Quick test_template_built_once;
           Alcotest.test_case "confirm domain safety" `Quick test_confirm_domain_safety;
+        ] );
+      ( "prefix sharing",
+        [
+          Alcotest.test_case "shared = fresh (C1-C9)" `Quick test_prefix_sharing_corpus;
+          Alcotest.test_case "shared = fresh (generated)" `Quick test_prefix_sharing_gen;
         ] );
       ( "rendering",
         [ Alcotest.test_case "to_source" `Quick test_to_source_mentions_methods ] );
